@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 acceptance gate;
 # `make ci` runs everything .github/workflows/ci.yml runs.
 
-.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check simd-check perf-smoke clean
+.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check simd-check perf-smoke benchmark benchmark-serve clean
 
 # Tier-1 gate: exactly what the roadmap requires to stay green.
 verify:
@@ -21,6 +21,8 @@ ci: fmt lint verify
 	$(MAKE) backend-check
 	$(MAKE) simd-check
 	$(MAKE) perf-smoke
+	$(MAKE) benchmark-serve
+	cargo test --manifest-path benchmark/Cargo.toml --offline
 
 fmt:
 	cargo fmt --all --check
@@ -133,6 +135,17 @@ simd-check:
 # deposit+gather/push pipeline speedup floor.
 perf-smoke:
 	cargo run --release -p beamdyn-bench --bin perf_smoke
+
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload, three interleaved repetitions plus one traced pass (~7 min).
+benchmark:
+	bash benchmark/run.sh
+
+# One run of the serving workload, the contract's form: a real daemon
+# driven over HTTP. Exits non-zero when any request, session or
+# cross-check failed (`failed` > 0).
+benchmark-serve:
+	bash benchmark/run.sh --workload serve_fleet --seed 42 --seconds 12 --trace 0
 
 clean:
 	cargo clean

@@ -33,6 +33,16 @@ use beamdyn_bench::scrape::{http_delete, http_get, http_post, parse_exposition, 
 const SLOTS: usize = 48;
 const STEPS: usize = 3;
 const DELETES: usize = 8;
+/// Open-loop arrival: one session every 25 ms (40/s). The fairness and
+/// pool-plateau bounds below were calibrated at this rate — it is what the
+/// daemon's accept poll used to impose on every client. The daemon now
+/// answers a POST in a fraction of a millisecond, so the rate is stated
+/// here instead of inherited. (A single 144-session burst admits 48
+/// sessions at once: round-robin then spreads active times up to ~48×
+/// within a group and slots keep meeting new tenant kinds past the warm
+/// checkpoint — inherent to the schedule, and not what these bounds gate.
+/// Bursts are exercised by the benchmark's `serve_fleet` workload.)
+const ARRIVAL_INTERVAL: Duration = Duration::from_millis(25);
 /// Fairness bound: within one spec group, slowest/fastest active time.
 /// Generous (scheduler noise on shared CI boxes is real); true starvation
 /// shows up as a ratio on the order of the fleet size.
@@ -155,6 +165,7 @@ fn main() {
     let started = Instant::now();
     let mut ids: Vec<(u64, String)> = Vec::with_capacity(sessions);
     for i in 0..sessions {
+        std::thread::sleep(ARRIVAL_INTERVAL);
         let kernel = KERNELS[i % KERNELS.len()];
         let backend = BACKENDS[(i / KERNELS.len()) % BACKENDS.len()];
         let body = format!(

@@ -440,7 +440,10 @@ struct Shared {
     device: DeviceConfig,
     wpool: WorkspacePool,
     fleet: Mutex<Fleet>,
-    work_ready: Condvar,
+    /// The fleet condvar: notified when work arrives for the scheduler
+    /// workers and whenever a session turns terminal or is removed
+    /// ([`SessionManager::wait_idle`] parks on it).
+    fleet_changed: Condvar,
     shutdown: AtomicBool,
     default_backend: BackendKind,
     events_capacity: usize,
@@ -471,7 +474,7 @@ impl SessionManager {
                 next_id: 1,
                 last_admission: Instant::now(),
             }),
-            work_ready: Condvar::new(),
+            fleet_changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             default_backend: config.default_backend,
             events_capacity: config.events_capacity.max(1),
@@ -611,7 +614,7 @@ impl SessionManager {
         admit_pending(&self.shared, &mut fleet);
         fleet.publish_gauges();
         drop(fleet);
-        self.shared.work_ready.notify_all();
+        self.shared.fleet_changed.notify_all();
         Ok(id)
     }
 
@@ -629,10 +632,14 @@ impl SessionManager {
             // the flag, finalise as cancelled, and remove the entry.
             session.cancel = true;
             session.state = SessionState::Cancelled;
+            drop(fleet);
+            self.shared.fleet_changed.notify_all();
             return true;
         }
         let was_terminal = session.state.is_terminal();
         let workspace = session.workspace.take();
+        // No worker holds it, so nobody else will end its event stream.
+        session.events.finish();
         fleet.sessions.remove(&id);
         fleet.ready.retain(|&q| q != id);
         fleet.pending.retain(|&q| q != id);
@@ -652,7 +659,7 @@ impl SessionManager {
         admit_pending(&self.shared, &mut fleet);
         fleet.publish_gauges();
         drop(fleet);
-        self.shared.work_ready.notify_all();
+        self.shared.fleet_changed.notify_all();
         true
     }
 
@@ -755,23 +762,23 @@ impl SessionManager {
     }
 
     /// Blocks until no session is queued or running, or `deadline`
-    /// passes; returns whether the fleet drained.
+    /// passes; returns whether the fleet drained. Parks on the fleet
+    /// condvar, which every terminal transition notifies.
     pub fn wait_idle(&self, deadline: Duration) -> bool {
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            if self.active_count() == 0 {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.active_count() == 0
+        let busy = |fleet: &mut Fleet| fleet.sessions.values().any(|s| !s.state.is_terminal());
+        let (_fleet, timeout) = self
+            .shared
+            .fleet_changed
+            .wait_timeout_while(lock(&self.shared.fleet), deadline, busy)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        !timeout.timed_out()
     }
 
     /// Stops the scheduler workers (running steps finish; queued sessions
     /// stay queued) and joins them.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_ready.notify_all();
+        self.shared.fleet_changed.notify_all();
         let mut workers = lock(&self.workers);
         for handle in workers.drain(..) {
             let _ = handle.join();
@@ -859,6 +866,9 @@ fn finalize(
     session.final_potentials =
         core.and_then(|c| c.last_potentials().map(|f| f.as_slice().to_vec()));
     session.board.set_state(state.name());
+    // End of stream: subscribers drain what was published, then read
+    // `Finished` and look the terminal state up — no tick to wait out.
+    session.events.finish();
     if let Some((lease, ws)) = session.workspace.take() {
         shared.wpool.release(lease, ws);
     }
@@ -917,7 +927,7 @@ fn worker_loop(shared: &Shared) {
                     if let Some(session) = fleet.sessions.get_mut(&id) {
                         if session.cancel {
                             finalize(shared, &mut fleet, id, SessionState::Cancelled, None);
-                            shared.work_ready.notify_all();
+                            shared.fleet_changed.notify_all();
                             continue;
                         }
                         let core = session.core.take();
@@ -938,7 +948,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 None => {
                     let _guard = shared
-                        .work_ready
+                        .fleet_changed
                         .wait_timeout(fleet, Duration::from_millis(25))
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     continue;
@@ -975,7 +985,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.health.postmortem {
                     health::write_postmortem("panic", id, summary.as_deref());
                 }
-                shared.work_ready.notify_all();
+                shared.fleet_changed.notify_all();
             }
             Ok(telemetry) => {
                 SESSION_STEP_NS.record(step_ns);
@@ -1078,7 +1088,7 @@ fn worker_loop(shared: &Shared) {
                 // /events keeps streaming under multiplexing too.
                 obs::flush_step(telemetry.step);
                 if finished {
-                    shared.work_ready.notify_all();
+                    shared.fleet_changed.notify_all();
                 }
                 if step_delay_ms > 0 {
                     std::thread::sleep(Duration::from_millis(step_delay_ms));

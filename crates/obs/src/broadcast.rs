@@ -16,6 +16,11 @@
 //!
 //! Subscribers that have been dropped are pruned lazily on the next
 //! publish, so disconnecting consumers leave no leak behind.
+//!
+//! A stream can **end**: [`Broadcast::finish`] wakes every waiting
+//! receiver, and a receiver that has drained its ring then reads
+//! [`Recv::Finished`] instead of timing out — consumers learn that a
+//! producer is done the moment it is, not one poll interval later.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,8 +38,14 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// One subscriber's pending events plus the producer's end-of-stream mark.
+struct Ring<T> {
+    queue: VecDeque<T>,
+    finished: bool,
+}
+
 struct Channel<T> {
-    queue: Mutex<VecDeque<T>>,
+    ring: Mutex<Ring<T>>,
     available: Condvar,
     /// Set when the receiver half is dropped; the broadcast prunes the
     /// channel.
@@ -44,7 +55,26 @@ struct Channel<T> {
 /// Fans every published event out to bounded per-subscriber ring buffers.
 pub struct Broadcast<T> {
     capacity: usize,
-    subscribers: Mutex<Vec<Arc<Channel<T>>>>,
+    subscribers: Mutex<Subscribers<T>>,
+}
+
+struct Subscribers<T> {
+    channels: Vec<Arc<Channel<T>>>,
+    /// Set by [`Broadcast::finish`]; guarded by the same lock `publish`
+    /// and `subscribe` already take, so neither can race the end mark.
+    finished: bool,
+}
+
+/// What one wait on a [`BroadcastReceiver`] produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recv<T> {
+    /// The oldest pending event.
+    Event(T),
+    /// Nothing arrived within the timeout; the stream is still live.
+    Timeout,
+    /// The ring is drained and the producer called [`Broadcast::finish`]:
+    /// no event will ever follow.
+    Finished,
 }
 
 /// The [`Sink`] specialisation broadcasting whole step flushes. Span
@@ -61,7 +91,10 @@ impl<T: Clone> Broadcast<T> {
     pub fn with_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             capacity: capacity.max(1),
-            subscribers: Mutex::new(Vec::new()),
+            subscribers: Mutex::new(Subscribers {
+                channels: Vec::new(),
+                finished: false,
+            }),
         })
     }
 
@@ -71,42 +104,68 @@ impl<T: Clone> Broadcast<T> {
     }
 
     /// Registers a new live consumer; events published from now on are
-    /// queued for it (up to the ring capacity).
+    /// queued for it (up to the ring capacity). A subscription taken after
+    /// [`Broadcast::finish`] is born finished.
     pub fn subscribe(&self) -> BroadcastReceiver<T> {
+        let mut subscribers = lock(&self.subscribers);
+        let finished = subscribers.finished;
         let channel = Arc::new(Channel {
-            queue: Mutex::new(VecDeque::with_capacity(self.capacity)),
+            ring: Mutex::new(Ring {
+                queue: VecDeque::with_capacity(if finished { 0 } else { self.capacity }),
+                finished,
+            }),
             available: Condvar::new(),
             closed: AtomicBool::new(false),
         });
-        lock(&self.subscribers).push(Arc::clone(&channel));
+        if !finished {
+            subscribers.channels.push(Arc::clone(&channel));
+        }
         BroadcastReceiver { channel }
     }
 
     /// Number of live subscribers (dropped receivers count until the next
     /// publish prunes them).
     pub fn subscriber_count(&self) -> usize {
-        lock(&self.subscribers).len()
+        lock(&self.subscribers).channels.len()
     }
 
     /// Pushes `event` into every live subscriber's ring, dropping each
     /// ring's oldest entry (and counting `telemetry.dropped_events`) when
-    /// full. Never blocks on a consumer.
+    /// full. Never blocks on a consumer. A no-op after
+    /// [`Broadcast::finish`]: a finished stream stays finished.
     pub fn publish(&self, event: &T) {
         let mut subscribers = lock(&self.subscribers);
-        subscribers.retain(|channel| {
+        if subscribers.finished {
+            return;
+        }
+        subscribers.channels.retain(|channel| {
             if channel.closed.load(Ordering::Acquire) {
                 return false;
             }
-            let mut queue = lock(&channel.queue);
-            if queue.len() >= self.capacity {
-                queue.pop_front();
+            let mut ring = lock(&channel.ring);
+            if ring.queue.len() >= self.capacity {
+                ring.queue.pop_front();
                 DROPPED_EVENTS.incr();
             }
-            queue.push_back(event.clone());
-            drop(queue);
+            ring.queue.push_back(event.clone());
+            drop(ring);
             channel.available.notify_one();
             true
         });
+    }
+
+    /// Ends the stream: every waiting receiver wakes, and each receiver
+    /// reads [`Recv::Finished`] once it has drained what was published
+    /// before this call. Idempotent.
+    pub fn finish(&self) {
+        let mut subscribers = lock(&self.subscribers);
+        subscribers.finished = true;
+        // Nothing is ever published again, so the producer side can let
+        // go of the channels; the receivers keep theirs alive.
+        for channel in subscribers.channels.drain(..) {
+            lock(&channel.ring).finished = true;
+            channel.available.notify_all();
+        }
     }
 }
 
@@ -126,30 +185,35 @@ pub struct BroadcastReceiver<T = StepFlush> {
 impl<T> BroadcastReceiver<T> {
     /// Pops the oldest pending event without waiting.
     pub fn try_recv(&self) -> Option<T> {
-        lock(&self.channel.queue).pop_front()
+        lock(&self.channel.ring).queue.pop_front()
     }
 
-    /// Waits up to `timeout` for an event. Returns `None` on timeout —
-    /// long-lived consumers (the SSE writers) loop on this so they can
-    /// interleave shutdown checks with waiting.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let queue = lock(&self.channel.queue);
-        let (mut queue, _timed_out) = self
+    /// Waits up to `timeout` for an event or the end of the stream.
+    /// Long-lived consumers (the SSE writers) loop on this: the timeout is
+    /// only their keep-alive cadence, since both an event and
+    /// [`Broadcast::finish`] wake the wait at once.
+    pub fn recv_timeout(&self, timeout: Duration) -> Recv<T> {
+        let ring = lock(&self.channel.ring);
+        let (mut ring, _timed_out) = self
             .channel
             .available
-            .wait_timeout_while(queue, timeout, |q| q.is_empty())
+            .wait_timeout_while(ring, timeout, |r| r.queue.is_empty() && !r.finished)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        queue.pop_front()
+        match ring.queue.pop_front() {
+            Some(event) => Recv::Event(event),
+            None if ring.finished => Recv::Finished,
+            None => Recv::Timeout,
+        }
     }
 
     /// Drains everything currently pending.
     pub fn drain(&self) -> Vec<T> {
-        lock(&self.channel.queue).drain(..).collect()
+        lock(&self.channel.ring).queue.drain(..).collect()
     }
 
     /// Pending events not yet received.
     pub fn len(&self) -> usize {
-        lock(&self.channel.queue).len()
+        lock(&self.channel.ring).queue.len()
     }
 
     /// True when nothing is pending.

@@ -847,6 +847,7 @@ mod tests {
 
     #[test]
     fn alert_lifecycle_fires_once_and_resolves() {
+        let _gate = crate::tests::serial();
         crate::reset();
         assert!(fire_alert(
             "test.lifecycle",

@@ -39,7 +39,7 @@ mod sink;
 mod span;
 pub mod timeline;
 
-pub use broadcast::{Broadcast, BroadcastReceiver, BroadcastSink};
+pub use broadcast::{Broadcast, BroadcastReceiver, BroadcastSink, Recv};
 pub use flight::{Alert, AlertSeverity, AlertTransition, EventKind, FlightEvent, FlightRing};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use perfetto::{install_perfetto, PerfettoSink};

@@ -2,13 +2,14 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::{
-    flush_step, install, snapshot, uninstall_all, BroadcastSink, Counter, Gauge, Histogram,
-    HistogramSnapshot, Recorder,
+    flush_step, install, snapshot, uninstall_all, Broadcast, BroadcastSink, Counter, Gauge,
+    Histogram, HistogramSnapshot, Recorder, Recv,
 };
 
 /// The registry and sink roster are process-global; tests that reset or
-/// install must not interleave.
-fn serial() -> MutexGuard<'static, ()> {
+/// install must not interleave — the module-local suites (`timeline`,
+/// `flight`) take this same gate.
+pub(crate) fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -459,14 +460,71 @@ fn broadcast_recv_timeout_wakes_on_flush() {
     let bus = BroadcastSink::new();
     let rx = bus.subscribe();
     install(bus.clone());
-    assert!(rx.recv_timeout(Duration::from_millis(5)).is_none());
+    assert!(matches!(
+        rx.recv_timeout(Duration::from_millis(5)),
+        Recv::Timeout
+    ));
     let waiter = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(5)));
     // Give the waiter a moment to park on the condvar, then flush.
     std::thread::sleep(Duration::from_millis(20));
     flush_step(17);
-    let got = waiter.join().expect("receiver thread");
-    assert_eq!(got.expect("event delivered").step, 17);
+    match waiter.join().expect("receiver thread") {
+        Recv::Event(flush) => assert_eq!(flush.step, 17),
+        _ => panic!("event not delivered"),
+    }
     uninstall_all();
+}
+
+// `Broadcast::finish` — these buses are local, so no gate is needed.
+
+#[test]
+fn broadcast_finish_wakes_a_parked_receiver() {
+    let bus = Broadcast::<u32>::new();
+    let rx = bus.subscribe();
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        parked_tx.send(()).expect("main thread alive");
+        let started = std::time::Instant::now();
+        (rx.recv_timeout(Duration::from_secs(5)), started.elapsed())
+    });
+    parked_rx.recv().expect("waiter started");
+    // Whether `finish` lands before or after the waiter parks, the wait
+    // must end with `Finished` far inside the 5 s timeout.
+    std::thread::sleep(Duration::from_millis(20));
+    bus.finish();
+    let (got, waited) = waiter.join().expect("receiver thread");
+    assert_eq!(got, Recv::Finished);
+    assert!(waited < Duration::from_secs(2), "woke after {waited:?}");
+}
+
+#[test]
+fn broadcast_delivers_everything_published_before_finish() {
+    let bus = Broadcast::<u32>::new();
+    let rx = bus.subscribe();
+    for i in 0..3 {
+        bus.publish(&i);
+    }
+    bus.finish();
+    // Publishing after the end is a no-op: a finished stream stays so.
+    bus.publish(&99);
+    for i in 0..3 {
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Recv::Event(i));
+    }
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Recv::Finished);
+    assert_eq!(rx.recv_timeout(Duration::ZERO), Recv::Finished);
+    assert_eq!(bus.subscriber_count(), 0);
+}
+
+#[test]
+fn broadcast_subscription_after_finish_is_born_finished() {
+    let bus = Broadcast::<u32>::new();
+    bus.finish();
+    bus.finish();
+    let rx = bus.subscribe();
+    let started = std::time::Instant::now();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Recv::Finished);
+    assert!(started.elapsed() < Duration::from_secs(2));
+    assert!(rx.is_empty());
 }
 
 #[test]

@@ -490,9 +490,10 @@ mod tests {
     static TL_GAUGE: Gauge = Gauge::new("timeline.test.gauge");
     static TL_HIST: Histogram = Histogram::new("timeline.test.hist");
 
-    /// Timeline tests share the global store; serialise against the rest
-    /// of the obs suite via the registry's natural test isolation.
+    /// Timeline tests share the global store and registry; serialise
+    /// against every other obs test that resets them.
     fn with_reset<T>(f: impl FnOnce() -> T) -> T {
+        let _gate = crate::tests::serial();
         crate::reset();
         let out = f();
         crate::reset();

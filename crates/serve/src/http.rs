@@ -1,21 +1,22 @@
 //! The HTTP/1.1 monitor + session server.
 //!
 //! Deliberately minimal: `GET`/`POST`/`DELETE`, `Connection: close`,
-//! bodies read only when `Content-Length` says so (capped at 1 MiB).
+//! bodies read only when `Content-Length` says so (capped at 1 MiB), the
+//! request head capped at 100 lines / 16 KiB, the whole request at 5 s.
 //! That subset is exactly what Prometheus scrapers, `curl`, and
 //! `EventSource` clients need, and it keeps the server free of any
 //! dependency beyond `std::net` and the workspace's own thread pool
 //! (plus the in-repo `bench::json` parser for scenario bodies).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use beamdyn_core::scenario::SpecError;
 use beamdyn_core::{SessionManager, StatusBoard, SubmitError};
-use beamdyn_obs::{flight, prometheus, timeline, BroadcastSink};
+use beamdyn_obs::{self as obs, flight, prometheus, timeline, BroadcastSink, Recv};
 use beamdyn_par::ThreadPool;
 
 use crate::spec::parse_scenario;
@@ -57,11 +58,24 @@ pub struct ServeContext {
     pub sessions: Option<Arc<SessionManager>>,
 }
 
+/// Connections handled, whatever their outcome (a malformed request
+/// counts; the shutdown wake-up connection does not).
+static HTTP_REQUESTS: obs::Counter = obs::Counter::new("http.requests");
+/// Nanoseconds from accepted connection to handler return. An SSE stream
+/// is one request, recorded when the stream ends.
+static HTTP_REQUEST_NS: obs::Histogram = obs::Histogram::new("http.request_ns");
+
 struct Flags {
     /// Stops the accept loop and every streaming handler.
     stop: AtomicBool,
-    /// Set by `GET /quitz`; the hosting run loop polls it.
-    quit_requested: AtomicBool,
+    /// Set by `GET /quitz`; the hosting run loop parks on `quit_signal`
+    /// ([`MonitorServer::wait_quit`]).
+    quit_requested: Mutex<bool>,
+    quit_signal: Condvar,
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A running monitor. Dropping the handle stops the server; prefer an
@@ -82,13 +96,11 @@ impl MonitorServer {
             .next()
             .ok_or_else(|| std::io::Error::other("bind address resolved to nothing"))?;
         let listener = TcpListener::bind(addr)?;
-        // Non-blocking accept + short sleep: the loop notices the stop flag
-        // within one poll interval without needing a signal or a wake pipe.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let flags = Arc::new(Flags {
             stop: AtomicBool::new(false),
-            quit_requested: AtomicBool::new(false),
+            quit_requested: Mutex::new(false),
+            quit_signal: Condvar::new(),
         });
         let loop_flags = Arc::clone(&flags);
         let workers = config.workers.max(1);
@@ -112,17 +124,40 @@ impl MonitorServer {
         format!("http://{}", self.addr)
     }
 
-    /// True once a client has hit `GET /quitz`. The hosting run loop polls
-    /// this between steps and winds down at its own pace — the server keeps
-    /// answering (`/status` reports the draining state) until
-    /// [`MonitorServer::shutdown`].
+    /// True once a client has hit `GET /quitz`. The hosting run loop
+    /// winds down at its own pace — the server keeps answering (`/status`
+    /// reports the draining state) until [`MonitorServer::shutdown`].
     pub fn quit_requested(&self) -> bool {
-        self.flags.quit_requested.load(Ordering::Acquire)
+        *lock(&self.flags.quit_requested)
+    }
+
+    /// Parks until a client hits `GET /quitz` or `timeout` passes; returns
+    /// [`MonitorServer::quit_requested`]. `/quitz` wakes the wait at once.
+    pub fn wait_quit(&self, timeout: Duration) -> bool {
+        let (quit, _timed_out) = self
+            .flags
+            .quit_signal
+            .wait_timeout_while(lock(&self.flags.quit_requested), timeout, |quit| !*quit)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *quit
     }
 
     /// Asks the accept loop and all streaming handlers to stop.
     pub fn shutdown(&self) {
-        self.flags.stop.store(true, Ordering::Release);
+        if self.flags.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // The accept loop blocks in `accept()`: one loopback connection to
+        // our own port wakes it, it sees the flag and drops the connection.
+        // A wildcard bind address is not connectable; its loopback is.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// [`MonitorServer::shutdown`] + wait for the accept loop (and its
@@ -144,30 +179,43 @@ impl Drop for MonitorServer {
     }
 }
 
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// How long an `/events` writer waits for the next step before checking the
-/// stop flag and emitting an SSE keep-alive comment.
+/// Keep-alive cadence of an idle SSE stream: how long an `/events` writer
+/// waits before emitting an SSE comment (which is also how it notices a
+/// client that went away, or the server stopping). On no latency path —
+/// events and end-of-stream wake the writer at once.
 const EVENT_TICK: Duration = Duration::from_millis(200);
 /// Largest request body the server reads. A scenario spec is a few hundred
 /// bytes; anything past this is a client error, answered 413.
 const MAX_BODY: usize = 1 << 20;
+/// Bounds on the request head (request line + headers), answered 431 when
+/// exceeded: a client cannot hold a connection worker by sending headers
+/// forever.
+const MAX_HEADER_LINES: usize = 100;
+const MAX_HEADER_BYTES: u64 = 16 << 10;
+/// The whole request (head and body) must arrive within this, however the
+/// client paces its bytes.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 fn accept_loop(listener: &TcpListener, workers: usize, ctx: &ServeContext, flags: &Arc<Flags>) {
     // Job-per-connection on the workspace's own pool (DESIGN.md §11);
     // dropping the pool at the end of this function joins the workers, so
     // `MonitorServer::join` returns only after every handler finished.
     let pool = ThreadPool::new(workers);
-    while !flags.stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every return of the blocking `accept`: the
+        // connection that woke us for shutdown is dropped unanswered.
+        if flags.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let ctx = ctx.clone();
                 let flags = Arc::clone(flags);
                 pool.execute(move || handle_connection(stream, &ctx, &flags));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            // A persistent failure (out of descriptors) must not spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -184,25 +232,65 @@ enum ReadOutcome {
     Ok(Request),
     /// `Content-Length` exceeded [`MAX_BODY`]; answer 413.
     TooLarge,
+    /// The head exceeded [`MAX_HEADER_LINES`] or [`MAX_HEADER_BYTES`];
+    /// answer 431.
+    HeadTooLarge,
+}
+
+/// The socket read against a deadline: each read's timeout is what is left
+/// of it, so dripping a byte at a time cannot stretch a request past it
+/// (a plain per-read timeout restarts with every byte).
+struct UntilDeadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for UntilDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Parses one HTTP request: request line, headers (only `Content-Length`
 /// matters), then exactly that many body bytes.
 fn read_request(stream: &TcpStream) -> std::io::Result<ReadOutcome> {
-    let mut reader = BufReader::with_capacity(2048, stream);
+    let mut reader = BufReader::with_capacity(
+        2048,
+        UntilDeadline {
+            stream,
+            deadline: Instant::now() + REQUEST_DEADLINE,
+        },
+    );
+    // The whole head is read through one byte budget, so neither many
+    // lines nor one endless line can grow past it.
+    let mut head = reader.by_ref().take(MAX_HEADER_BYTES);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     let mut content_length: usize = 0;
+    let mut lines = 0;
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        if head.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
             break;
+        }
+        lines += 1;
+        if lines > MAX_HEADER_LINES || !line.ends_with('\n') {
+            return Ok(head_too_large(reader));
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 content_length = value.trim().parse().unwrap_or(0);
             }
         }
+    }
+    if head.limit() == 0 {
+        // Budget spent exactly at a line end, or inside the request line.
+        return Ok(head_too_large(reader));
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
@@ -225,6 +313,14 @@ fn read_request(stream: &TcpStream) -> std::io::Result<ReadOutcome> {
     let body =
         String::from_utf8(body).map_err(|_| std::io::Error::other("request body is not UTF-8"))?;
     Ok(ReadOutcome::Ok(Request { method, path, body }))
+}
+
+/// Swallows (bounded in bytes and time) what an over-long head's client has
+/// already sent, so it reads the 431 instead of hitting a reset pipe.
+fn head_too_large(mut reader: BufReader<UntilDeadline<'_>>) -> ReadOutcome {
+    reader.get_mut().deadline = Instant::now() + Duration::from_millis(100);
+    let _ = std::io::copy(&mut reader.take(4 * MAX_HEADER_BYTES), &mut std::io::sink());
+    ReadOutcome::HeadTooLarge
 }
 
 fn write_response(
@@ -271,16 +367,33 @@ fn not_found(stream: &mut TcpStream) -> std::io::Result<()> {
 }
 
 fn handle_connection(mut stream: TcpStream, ctx: &ServeContext, flags: &Flags) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let started = Instant::now();
+    serve_request(&mut stream, ctx, flags);
+    // Recorded before the connection closes: a client that read its
+    // response to the end finds its own request in the next `/metrics`.
+    HTTP_REQUESTS.incr();
+    HTTP_REQUEST_NS.record(started.elapsed().as_nanos() as f64);
+}
+
+fn serve_request(stream: &mut TcpStream, ctx: &ServeContext, flags: &Flags) {
     let _ = stream.set_nodelay(true);
-    let request = match read_request(&stream) {
+    let request = match read_request(stream) {
         Ok(ReadOutcome::Ok(r)) => r,
         Ok(ReadOutcome::TooLarge) => {
             let _ = write_response(
-                &mut stream,
+                stream,
                 "413 Content Too Large",
                 "text/plain; charset=utf-8",
                 "request body too large\n",
+            );
+            return;
+        }
+        Ok(ReadOutcome::HeadTooLarge) => {
+            let _ = write_response(
+                stream,
+                "431 Request Header Fields Too Large",
+                "text/plain; charset=utf-8",
+                "request head too large\n",
             );
             return;
         }
@@ -294,12 +407,12 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeContext, flags: &Flags) {
     };
     let result = match (request.method.as_str(), route.as_str()) {
         ("GET", "/metrics") => write_response(
-            &mut stream,
+            stream,
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             &prometheus::render_current(),
         ),
-        ("GET", "/status") => write_json(&mut stream, "200 OK", &ctx.status.to_json()),
+        ("GET", "/status") => write_json(stream, "200 OK", &ctx.status.to_json()),
         // Liveness vs. readiness vs. health are three distinct answers:
         // the process is *live* as long as it answers at all, *ready*
         // (`/readyz`) once startup finished — and stays ready while
@@ -310,31 +423,26 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeContext, flags: &Flags) {
         ("GET", "/healthz") => {
             if flight::any_critical_firing() {
                 write_response(
-                    &mut stream,
+                    stream,
                     "503 Service Unavailable",
                     "text/plain; charset=utf-8",
                     "critical alert firing; see /alerts\n",
                 )
             } else {
-                write_response(&mut stream, "200 OK", "text/plain; charset=utf-8", "ok\n")
+                write_response(stream, "200 OK", "text/plain; charset=utf-8", "ok\n")
             }
         }
-        ("GET", "/alerts") => write_json(&mut stream, "200 OK", &flight::alerts_json()),
-        ("GET", "/timeline") => serve_timeline(&mut stream, None, &query),
+        ("GET", "/alerts") => write_json(stream, "200 OK", &flight::alerts_json()),
+        ("GET", "/timeline") => serve_timeline(stream, None, &query),
         ("GET", "/debug/flight") => {
-            write_json(&mut stream, "200 OK", &flight::global().to_json("global"))
+            write_json(stream, "200 OK", &flight::global().to_json("global"))
         }
         ("GET", "/readyz") => {
             if ctx.ready.load(Ordering::Acquire) {
-                write_response(
-                    &mut stream,
-                    "200 OK",
-                    "text/plain; charset=utf-8",
-                    "ready\n",
-                )
+                write_response(stream, "200 OK", "text/plain; charset=utf-8", "ready\n")
             } else {
                 write_response(
-                    &mut stream,
+                    stream,
                     "503 Service Unavailable",
                     "text/plain; charset=utf-8",
                     "starting\n",
@@ -342,21 +450,22 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeContext, flags: &Flags) {
             }
         }
         ("GET", "/quitz") => {
-            flags.quit_requested.store(true, Ordering::Release);
+            *lock(&flags.quit_requested) = true;
+            flags.quit_signal.notify_all();
             write_response(
-                &mut stream,
+                stream,
                 "200 OK",
                 "text/plain; charset=utf-8",
                 "shutdown requested\n",
             )
         }
-        ("GET", "/events") => stream_events(&mut stream, ctx, flags),
+        ("GET", "/events") => stream_events(stream, ctx, flags),
         (_, route) if route == "/sessions" || route.starts_with("/sessions/") => {
-            handle_sessions(&mut stream, ctx, flags, &request, route, &query)
+            handle_sessions(stream, ctx, flags, &request, route, &query)
         }
-        ("GET", _) => not_found(&mut stream),
+        ("GET", _) => not_found(stream),
         _ => write_response(
-            &mut stream,
+            stream,
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
             "method not allowed\n",
@@ -593,7 +702,7 @@ fn stream_events(stream: &mut TcpStream, ctx: &ServeContext, flags: &Flags) -> s
     stream.flush()?;
     while !flags.stop.load(Ordering::Acquire) {
         match rx.recv_timeout(EVENT_TICK) {
-            Some(flush) => {
+            Recv::Event(flush) => {
                 write!(
                     stream,
                     "event: step\nid: {}\ndata: {}\n\n",
@@ -602,21 +711,24 @@ fn stream_events(stream: &mut TcpStream, ctx: &ServeContext, flags: &Flags) -> s
                 )?;
                 stream.flush()?;
             }
-            None => {
+            Recv::Timeout => {
                 // SSE comment as keep-alive; also how we notice a client
                 // that went away between steps.
                 write!(stream, ": keep-alive\n\n")?;
                 stream.flush()?;
             }
+            // The host ended the bus (it is shutting down).
+            Recv::Finished => break,
         }
     }
     Ok(())
 }
 
 /// Serves one session's SSE stream. Unlike the fleet-wide `/events`, this
-/// stream *ends*: once the session reaches a terminal state and the
-/// subscriber has drained its ring, a final `end` event is sent and the
-/// connection closes — `curl` on a finished session returns promptly.
+/// stream *ends*: the session engine finishes the session's bus the moment
+/// the session turns terminal or is deleted, the subscriber drains its
+/// ring, and a final `end` event is sent and the connection closes —
+/// `curl` on a finished session returns at once.
 fn stream_session_events(
     stream: &mut TcpStream,
     mgr: &Arc<SessionManager>,
@@ -633,7 +745,7 @@ fn stream_session_events(
     stream.flush()?;
     while !flags.stop.load(Ordering::Acquire) {
         match rx.recv_timeout(EVENT_TICK) {
-            Some(event) => {
+            Recv::Event(event) => {
                 write!(
                     stream,
                     "event: step\nid: {}\ndata: {}\n\n",
@@ -641,21 +753,20 @@ fn stream_session_events(
                 )?;
                 stream.flush()?;
             }
-            None => {
-                // No event within a tick: if the session is gone or
-                // terminal, the ring is drained — finish the stream.
-                let state = mgr.state(id);
-                if state.as_ref().is_none_or(|s| s.is_terminal()) {
-                    let state_name = state.as_ref().map_or("deleted", |s| s.name());
-                    write!(
-                        stream,
-                        "event: end\ndata: {{\"session\":{id},\"state\":\"{state_name}\"}}\n\n"
-                    )?;
-                    stream.flush()?;
-                    return Ok(());
-                }
+            Recv::Timeout => {
                 write!(stream, ": keep-alive\n\n")?;
                 stream.flush()?;
+            }
+            Recv::Finished => {
+                // Ring drained and the bus ended: the session is terminal,
+                // or gone from the fleet (deleted).
+                let state = mgr.state(id);
+                let state_name = state.as_ref().map_or("deleted", |s| s.name());
+                write!(
+                    stream,
+                    "event: end\ndata: {{\"session\":{id},\"state\":\"{state_name}\"}}\n\n"
+                )?;
+                return stream.flush();
             }
         }
     }

@@ -262,6 +262,10 @@ fn scenario_spec(opts: &Options) -> ScenarioSpec {
     }
 }
 
+/// Timeout of a wait that only its event should end (a condvar wait needs
+/// one; waking once an hour to wait again costs nothing).
+const UNHURRIED: Duration = Duration::from_secs(3600);
+
 fn main() {
     let opts = match Options::parse() {
         Ok(o) => o,
@@ -392,27 +396,29 @@ fn main() {
 
     // Per-step stdout lines, fed from the same broadcast bus /events uses.
     // Counters in a flush are cumulative, so print the per-step delta.
-    let printer_stop = Arc::new(AtomicBool::new(false));
+    // The thread ends when the bus does (`events.finish()` at shutdown).
     let printer = {
         let rx = events.subscribe();
-        let stop = Arc::clone(&printer_stop);
         std::thread::spawn(move || {
             let mut last_fallback: u64 = 0;
-            while !stop.load(Ordering::Acquire) {
-                if let Some(flush) = rx.recv_timeout(Duration::from_millis(100)) {
-                    let fallback = flush
-                        .counters
-                        .iter()
-                        .find(|(name, _)| *name == "kernels.fallback_cells")
-                        .map_or(0, |&(_, v)| v);
-                    println!(
-                        "step {:4}: fallback {:5} cells (total {})",
-                        flush.step,
-                        fallback.saturating_sub(last_fallback),
-                        fallback,
-                    );
-                    last_fallback = fallback;
-                }
+            loop {
+                let flush = match rx.recv_timeout(UNHURRIED) {
+                    obs::Recv::Event(flush) => flush,
+                    obs::Recv::Timeout => continue,
+                    obs::Recv::Finished => return,
+                };
+                let fallback = flush
+                    .counters
+                    .iter()
+                    .find(|(name, _)| *name == "kernels.fallback_cells")
+                    .map_or(0, |&(_, v)| v);
+                println!(
+                    "step {:4}: fallback {:5} cells (total {})",
+                    flush.step,
+                    fallback.saturating_sub(last_fallback),
+                    fallback,
+                );
+                last_fallback = fallback;
             }
         })
     };
@@ -437,7 +443,7 @@ fn main() {
     ready.store(true, Ordering::Release);
 
     let mut announced_done = false;
-    while !server.quit_requested() {
+    loop {
         if let Some(id) = scenario {
             let finished = manager
                 .state(id)
@@ -464,14 +470,26 @@ fn main() {
             announced_done = true;
             println!("serving sessions until GET /quitz (POST /sessions to run one)");
         }
-        std::thread::sleep(Duration::from_millis(50));
+        // `/quitz` wakes this wait at once. While a scenario is tracked the
+        // timeout is how soon its end is noticed (announce / `--loop`
+        // resubmit); with none there is nothing to do but wait.
+        let wait = if scenario.is_some() {
+            Duration::from_millis(50)
+        } else {
+            UNHURRIED
+        };
+        if server.wait_quit(wait) {
+            break;
+        }
     }
 
     status.set_state("stopping");
     println!("quit requested; shutting down");
     manager.shutdown();
+    // End the fleet-wide bus first: idle `/events` streams and the step
+    // printer wake and finish instead of waiting out a tick.
+    events.finish();
     server.join();
-    printer_stop.store(true, Ordering::Release);
     let _ = printer.join();
     obs::uninstall_all();
     if trace.is_some() {

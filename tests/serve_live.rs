@@ -11,7 +11,9 @@
 //! * `/events` delivers exactly one SSE `step` event per completed step,
 //!   ids in step order, each `data:` payload a valid JSON object;
 //! * `/status` reflects the run (steps completed, totals), and the health
-//!   endpoints answer while the server is up.
+//!   endpoints answer while the server is up;
+//! * the HTTP layer counts itself: `http.requests` and `http.request_ns`
+//!   show every request made here, the SSE stream as one.
 //!
 //! Kept to a single `#[test]` because the obs registry is process-global.
 
@@ -200,7 +202,28 @@ fn live_run_serves_metrics_status_and_one_sse_event_per_step() {
         "/status totals agree with the registry counter"
     );
 
+    // A request is on `/metrics` as soon as its response was read to the
+    // end: the four health probes precede this scrape (the SSE stream is
+    // recorded when it ends, which the server may not have noticed yet).
+    assert!(
+        exposition
+            .value("beamdyn_http_requests_total")
+            .is_some_and(|n| n >= 4.0),
+        "/metrics counts the requests served before it"
+    );
+    assert_eq!(
+        exposition.types.get("beamdyn_http_request_ns"),
+        Some(&"histogram".to_string())
+    );
+
     server.shutdown();
     server.join();
+    // Every handler has returned: 4 health probes + 1 SSE stream +
+    // /metrics + /status, each counted and timed exactly once.
+    assert_eq!(obs::counter_value("http.requests"), Some(7));
+    assert_eq!(
+        obs::histogram_snapshot("http.request_ns").map(|h| h.count()),
+        Some(7)
+    );
     obs::uninstall_all();
 }

@@ -13,12 +13,19 @@
 //!   (submit / run / delete) under concurrent scrapers — no torn output;
 //! * per-subscriber event rings drop oldest on overflow and every drop is
 //!   accounted in `telemetry.dropped_events` — verified *exactly* with a
-//!   capacity-2 ring and a deliberately lazy subscriber.
+//!   capacity-2 ring and a deliberately lazy subscriber;
+//! * the serving path is push-based (DESIGN.md §11): a session stream's
+//!   `end` follows the last step, a DELETE or an already-finished session
+//!   at once — never one keep-alive tick later — `/quitz` wakes
+//!   `wait_quit`, and `join()` returns promptly from a blocking accept.
 //!
-//! Kept to a single `#[test]` because the obs registry is process-global.
+//! The obs registry is process-global, so the tests here take one gate
+//! and run one after the other.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use beamdyn::core::{
@@ -44,6 +51,93 @@ fn tiny_spec(steps: usize) -> ScenarioSpec {
     }
 }
 
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn start_server(addr: &str, manager: &Arc<SessionManager>) -> MonitorServer {
+    MonitorServer::start(
+        ServeConfig {
+            addr: addr.to_string(),
+            ..ServeConfig::default()
+        },
+        ServeContext {
+            status: StatusBoard::new("predictive", "traced-simt"),
+            events: obs::BroadcastSink::new(),
+            ready: Arc::new(AtomicBool::new(true)),
+            sessions: Some(Arc::clone(manager)),
+        },
+    )
+    .expect("bind ephemeral port")
+}
+
+/// Sends `head` (a complete request head) and returns the status code.
+fn raw_status(addr: &str, head: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(head.as_bytes()).expect("write head");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {response:?}"))
+}
+
+/// An SSE stream opened and read up to the end of the response headers —
+/// the server subscribes before it writes them, so the subscription exists
+/// when this returns.
+fn open_events(addr: &str, path: &str) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).expect("connect SSE");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").expect("write request");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    while reader.read_line(&mut line).expect("SSE headers") > 0 && line != "\r\n" {
+        line.clear();
+    }
+    reader
+}
+
+/// Reads an SSE stream to its end: every non-empty line with the time it
+/// arrived.
+fn read_to_end(mut reader: BufReader<TcpStream>) -> Vec<(Instant, String)> {
+    let mut lines = Vec::new();
+    let mut line = String::new();
+    while reader.read_line(&mut line).expect("SSE line") > 0 {
+        if !line.trim().is_empty() {
+            lines.push((Instant::now(), line.trim().to_string()));
+        }
+        line.clear();
+    }
+    lines
+}
+
+fn arrival(lines: &[(Instant, String)], prefix: &str) -> Option<Instant> {
+    lines
+        .iter()
+        .rev()
+        .find(|(_, line)| line.starts_with(prefix))
+        .map(|&(at, _)| at)
+}
+
+fn post_session(addr: &str, body: &str) -> u64 {
+    let (code, response) = http_post(addr, "/sessions", body).expect("POST session");
+    assert_eq!(code, 201, "{response}");
+    json::parse(&response)
+        .expect("201 body is JSON")
+        .get("id")
+        .and_then(|v| v.as_f64())
+        .expect("id") as u64
+}
+
 fn wait_for_state(mgr: &SessionManager, id: u64, want: SessionState) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -57,6 +151,7 @@ fn wait_for_state(mgr: &SessionManager, id: u64, want: SessionState) {
 
 #[test]
 fn session_service_contract_over_real_http() {
+    let _gate = serial();
     obs::uninstall_all();
     obs::reset();
 
@@ -72,18 +167,7 @@ fn session_service_contract_over_real_http() {
         device: DeviceConfig::tesla_k40(),
         ..SessionManagerConfig::default()
     });
-    let events = obs::BroadcastSink::new();
-    let status = StatusBoard::new("predictive", "traced-simt");
-    let server = MonitorServer::start(
-        ServeConfig::default(),
-        ServeContext {
-            status,
-            events,
-            ready: Arc::new(AtomicBool::new(true)),
-            sessions: Some(Arc::clone(&manager)),
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = start_server("127.0.0.1:0", &manager);
     let addr = server.addr().to_string();
 
     // --- Structured errors: every malformed request is a 4xx with a JSON
@@ -133,6 +217,44 @@ fn session_service_contract_over_real_http() {
         http_post(&addr, "/sessions", &huge).expect("POST huge").0,
         413
     );
+    // An over-long head → 431, whether by line count or by bytes; a head
+    // inside both bounds is served.
+    let with_headers = |n: usize, value: &str| {
+        let headers: String = (0..n).map(|i| format!("X-Pad-{i}: {value}\r\n")).collect();
+        format!("GET /sessions HTTP/1.1\r\n{headers}\r\n")
+    };
+    assert_eq!(raw_status(&addr, &with_headers(90, "x")), 200);
+    assert_eq!(raw_status(&addr, &with_headers(150, "x")), 431);
+    assert_eq!(
+        raw_status(&addr, &with_headers(1, &"x".repeat(20 << 10))),
+        431
+    );
+    // A head dripped line by line is cut off at the request deadline (5 s),
+    // although every single read arrived in time: the worker is released.
+    let mut drip = TcpStream::connect(&addr).expect("connect");
+    drip.set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    drip.write_all(b"GET /sessions HTTP/1.1\r\n")
+        .expect("request line");
+    let dripping = Instant::now();
+    let closed_after = loop {
+        assert!(
+            dripping.elapsed() < Duration::from_secs(9),
+            "a dripping client held its worker past the request deadline"
+        );
+        let _ = drip.write_all(b"X-Drip: 1\r\n");
+        match drip.read(&mut [0u8; 64]) {
+            Ok(0) => break dripping.elapsed(),
+            Ok(_) => panic!("a request that never completed was answered"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break dripping.elapsed(),
+        }
+    };
+    assert!(closed_after > Duration::from_secs(3), "{closed_after:?}");
     assert_eq!(http_get(&addr, "/sessions/abc").expect("bad id").0, 400);
     assert_eq!(http_get(&addr, "/sessions/999").expect("GET 999").0, 404);
     assert_eq!(
@@ -279,18 +401,10 @@ fn session_service_contract_over_real_http() {
         .collect();
     let mut churn_ids = Vec::new();
     for i in 0..6 {
-        let (code, body) = http_post(
+        let id = post_session(
             &addr,
-            "/sessions",
             &format!(r#"{{"name":"churn-{i}","resolution":8,"particles":400,"steps":2}}"#),
-        )
-        .expect("POST churn");
-        assert_eq!(code, 201, "{body}");
-        let id = json::parse(&body)
-            .expect("201 JSON")
-            .get("id")
-            .and_then(|v| v.as_f64())
-            .expect("id") as u64;
+        );
         churn_ids.push(id);
         // Evict every other session mid-flight — deletes must interleave
         // cleanly with scrapes and running steps.
@@ -323,4 +437,133 @@ fn session_service_contract_over_real_http() {
     server.join();
     manager.shutdown();
     obs::uninstall_all();
+}
+
+/// Milliseconds from `since` to the arrival of the `event: end` line.
+fn end_lag_ms(lines: &[(Instant, String)], since: Instant) -> f64 {
+    let end = arrival(lines, "event: end").unwrap_or_else(|| panic!("no end event in {lines:?}"));
+    end.saturating_duration_since(since).as_secs_f64() * 1e3
+}
+
+/// The idle-stream keep-alive tick is 200 ms; anything an end-of-stream
+/// still waited a tick for would read about that. Best of three, so a
+/// busy box cannot fail what is a wake-up of microseconds.
+const PROMPT_MS: f64 = 100.0;
+
+#[test]
+fn streams_end_and_the_server_stops_without_waiting_out_a_timer() {
+    let _gate = serial();
+    obs::uninstall_all();
+    let manager = SessionManager::start(SessionManagerConfig {
+        threads: 2,
+        step_workers: 1,
+        slots: 1,
+        default_backend: BackendKind::NativeFast,
+        device: DeviceConfig::tesla_k40(),
+        ..SessionManagerConfig::default()
+    });
+    let server = start_server("127.0.0.1:0", &manager);
+    let addr = server.addr().to_string();
+    let paced = r#"{"resolution":8,"particles":400,"steps":6,"step_delay_ms":15}"#;
+
+    // --- `end` follows the last `step` of a finishing session at once.
+    let mut last_done = 0;
+    let lag = (0..3)
+        .map(|_| {
+            last_done = post_session(&addr, paced);
+            let lines = read_to_end(open_events(&addr, &format!("/sessions/{last_done}/events")));
+            let end = &lines.last().expect("stream not empty").1;
+            assert!(end.contains(r#""state":"done""#), "{lines:?}");
+            let last_step = arrival(&lines, "event: step")
+                .unwrap_or_else(|| panic!("subscribed too late to see a step: {lines:?}"));
+            end_lag_ms(&lines, last_step)
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(lag < PROMPT_MS, "end came {lag:.1} ms after the last step");
+
+    // --- A stream opened on an already-finished session is born finished:
+    // `end` at once, not one heartbeat first.
+    let lag = (0..3)
+        .map(|_| {
+            let opened = Instant::now();
+            let lines = read_to_end(open_events(&addr, &format!("/sessions/{last_done}/events")));
+            assert!(
+                !lines.iter().any(|(_, l)| l.starts_with(": keep-alive")),
+                "{lines:?}"
+            );
+            assert!(lines.last().expect("end").1.contains(r#""state":"done""#));
+            end_lag_ms(&lines, opened)
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        lag < PROMPT_MS,
+        "a finished session's stream took {lag:.1} ms"
+    );
+
+    // --- DELETE of a queued session ends its open stream as `deleted`.
+    let lag = (0..3)
+        .map(|_| {
+            // The blocker holds the only slot, so the target stays queued.
+            let blocker = post_session(&addr, paced);
+            let target = post_session(&addr, paced);
+            assert_eq!(manager.state(target), Some(SessionState::Queued));
+            let stream = open_events(&addr, &format!("/sessions/{target}/events"));
+            let deleted = Instant::now();
+            let (code, _) = http_delete(&addr, &format!("/sessions/{target}")).expect("DELETE");
+            assert_eq!(code, 200);
+            let lines = read_to_end(stream);
+            assert!(
+                lines
+                    .last()
+                    .expect("end")
+                    .1
+                    .contains(r#""state":"deleted""#),
+                "{lines:?}"
+            );
+            wait_for_state(&manager, blocker, SessionState::Done);
+            end_lag_ms(&lines, deleted)
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        lag < PROMPT_MS,
+        "a deleted session's stream took {lag:.1} ms"
+    );
+    assert!(manager.wait_idle(Duration::from_secs(60)));
+
+    // --- `/quitz` wakes a parked `wait_quit`.
+    assert!(!server.wait_quit(Duration::from_millis(10)));
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            let started = Instant::now();
+            (server.wait_quit(Duration::from_secs(30)), started.elapsed())
+        });
+        assert_eq!(http_get(&addr, "/quitz").expect("GET /quitz").0, 200);
+        let (quit, waited) = waiter.join().expect("waiter thread");
+        assert!(quit && waited < Duration::from_secs(5), "{quit} {waited:?}");
+    });
+    assert!(server.quit_requested());
+    server.join();
+
+    // --- `join()` returns promptly from a blocking accept: idle listener,
+    // then with an idle `/events` subscriber attached; loopback and
+    // wildcard binds (the wake-up connects to loopback either way).
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for with_subscriber in [false, true] {
+            let server = start_server(bind, &manager);
+            let subscriber = with_subscriber.then(|| {
+                let loopback = format!("127.0.0.1:{}", server.addr().port());
+                open_events(&loopback, "/events")
+            });
+            let started = Instant::now();
+            server.join();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "join on {bind} (subscriber: {with_subscriber}) took {took:?}"
+            );
+            drop(subscriber);
+        }
+    }
+
+    manager.shutdown();
 }

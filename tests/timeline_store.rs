@@ -84,16 +84,14 @@ fn assert_exact_reconstruction(kernel: KernelKind, backend: BackendKind) {
     }
 
     let combo = format!("{}/{}", sim.kernel_name(), backend.name());
+    // Both sides of the comparison come from one snapshot: the registry
+    // keeps moving after the last step's flush (idle pool workers park,
+    // the store counts its own samples), so record this snapshot and
+    // check the store against exactly it.
     let snap = obs::snapshot();
+    timeline::record_flush(STEPS, &snap);
     let mut nonzero = 0usize;
     for c in &snap.counters {
-        // The store cannot observe its own recording act: `timeline.*`
-        // meta-counters advance *during* the flush that samples them, so
-        // their series lag the registry by one flush. Everything else must
-        // reconstruct exactly.
-        if c.name.starts_with("timeline.") {
-            continue;
-        }
         let reconstructed = timeline::reconstructed_counter_total(None, c.name).unwrap_or(0.0);
         assert_eq!(
             reconstructed, c.value as f64,
