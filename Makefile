@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 acceptance gate;
 # `make ci` runs everything .github/workflows/ci.yml runs.
 
-.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check simd-check perf-smoke benchmark benchmark-serve clean
+.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check simd-check perf-smoke benchmark benchmark-serve ab clean
 
 # Tier-1 gate: exactly what the roadmap requires to stay green.
 verify:
@@ -146,6 +146,16 @@ benchmark:
 # cross-check failed (`failed` > 0).
 benchmark-serve:
 	bash benchmark/run.sh --workload serve_fleet --seed 42 --seconds 12 --trace 0
+
+# Paired runs of the benchmark, a revision against the working tree, with
+# per-metric medians, quartiles and win counts (scripts/ab.sh):
+#   make ab REV=HEAD~1 WORKLOAD=sim_traced PAIRS=10 [SEED=42]
+REV ?= HEAD
+WORKLOAD ?= sim_traced
+PAIRS ?= 10
+SEED ?= 42
+ab:
+	bash scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED)
 
 clean:
 	cargo clean

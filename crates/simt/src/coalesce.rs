@@ -1,4 +1,19 @@
 //! Warp-level memory coalescing.
+//!
+//! A warp-wide memory instruction is coalesced in two steps: order the
+//! lanes' accesses by start address, then make one merge pass that emits the
+//! sorted, unique segment ids and line ids. The pass pushes only ids above
+//! the last one it emitted, which is exact for any mix of access widths and
+//! any line size: visited in start order, an id at or below the last emitted
+//! one lies in the range of an earlier access — the one that emitted that
+//! last id started no later than the current access, and every id of its
+//! contiguous range has been emitted.
+//!
+//! The sort is the only step that depends on lane order, and the replay
+//! mostly skips it: consecutive load slots of a warp are usually the same
+//! access pattern shifted by one common offset (the taps of a stencil differ
+//! only by layout constants), and a common shift keeps every pair of start
+//! addresses in the same order. See [`is_common_shift`].
 
 /// Transfer segment size used by the coalescer (the 32-byte DRAM/L2 sector
 /// granularity of Kepler-class GPUs).
@@ -28,7 +43,8 @@ impl WarpRequest {
 ///
 /// Lanes reading overlapping addresses are served by the same segment, so
 /// `requested_bytes / transferred_bytes` exceeds 1 for broadcast patterns —
-/// the effect the paper reports as >100 % global load efficiency.
+/// the effect the paper reports as >100 % global load efficiency. A
+/// zero-byte access requests nothing and touches no segment or line.
 pub fn coalesce(accesses: &[(u64, u32)], line_size: u64) -> WarpRequest {
     let mut segments = Vec::with_capacity(accesses.len());
     let mut lines = Vec::with_capacity(accesses.len());
@@ -40,48 +56,80 @@ pub fn coalesce(accesses: &[(u64, u32)], line_size: u64) -> WarpRequest {
     }
 }
 
-/// Allocation-free form of [`coalesce`] for hot replay loops: the caller
-/// supplies the segment/line scratch vectors (cleared here, reused across
-/// calls). On return `segments` and `lines` hold the sorted, deduplicated
-/// segment/line addresses; the total requested bytes are returned.
+/// Scratch-reusing form of [`coalesce`]: the caller supplies the
+/// segment/line vectors (cleared here, reused across calls). On return
+/// `segments` and `lines` hold the sorted, deduplicated segment/line ids;
+/// the total requested bytes are returned. The replay loop, which also
+/// keeps the sort order, calls [`sort_by_start`] and [`coalesce_in_order`]
+/// directly.
 pub fn coalesce_into(
     accesses: &[(u64, u32)],
     line_size: u64,
     segments: &mut Vec<u64>,
     lines: &mut Vec<u64>,
 ) -> u64 {
+    let mut order = Vec::with_capacity(accesses.len());
+    sort_by_start(accesses, &mut order);
+    coalesce_in_order(accesses, &order, line_size, segments, lines)
+}
+
+/// Fills `order` with the indices of `accesses` in ascending start-address
+/// order.
+pub(crate) fn sort_by_start(accesses: &[(u64, u32)], order: &mut Vec<u32>) {
+    order.clear();
+    order.extend(0..accesses.len() as u32);
+    order.sort_unstable_by_key(|&i| accesses[i as usize].0);
+}
+
+/// The merge pass: visits `accesses` in `order`, which must be ascending
+/// by start address, and leaves the sorted, unique segment and line ids in
+/// `segments` and `lines`. Returns the requested bytes.
+pub(crate) fn coalesce_in_order(
+    accesses: &[(u64, u32)],
+    order: &[u32],
+    line_size: u64,
+    segments: &mut Vec<u64>,
+    lines: &mut Vec<u64>,
+) -> u64 {
+    debug_assert_eq!(accesses.len(), order.len());
     segments.clear();
     lines.clear();
     let mut requested = 0u64;
-    for &(addr, bytes) in accesses {
+    for &i in order {
+        let (addr, bytes) = accesses[i as usize];
+        if bytes == 0 {
+            continue;
+        }
         requested += bytes as u64;
-        let first_seg = addr / SEGMENT_BYTES;
-        let last_seg = (addr + bytes as u64 - 1) / SEGMENT_BYTES;
-        for s in first_seg..=last_seg {
-            insert_sorted_unique(segments, s);
-        }
-        let first_line = addr / line_size;
-        let last_line = (addr + bytes as u64 - 1) / line_size;
-        for l in first_line..=last_line {
-            insert_sorted_unique(lines, l);
-        }
+        let last_byte = addr + (bytes as u64 - 1);
+        push_ids_above(segments, addr / SEGMENT_BYTES, last_byte / SEGMENT_BYTES);
+        push_ids_above(lines, addr / line_size, last_byte / line_size);
     }
     requested
 }
 
-/// Inserts `x` into the sorted, duplicate-free vector `v`, keeping it sorted
-/// and duplicate-free — the warp access patterns are mostly broadcasts and
-/// ascending lane strides, so the tail fast paths absorb nearly every call.
+/// Appends the ids of `first..=last` that lie above `ids`' last entry.
 #[inline]
-fn insert_sorted_unique(v: &mut Vec<u64>, x: u64) {
-    match v.last() {
-        None => v.push(x),
-        Some(&last) if last == x => {}
-        Some(&last) if last < x => v.push(x),
-        _ => {
-            if let Err(pos) = v.binary_search(&x) {
-                v.insert(pos, x);
-            }
-        }
-    }
+fn push_ids_above(ids: &mut Vec<u64>, first: u64, last: u64) {
+    let from = match ids.last() {
+        Some(&top) if top >= first => top + 1,
+        _ => first,
+    };
+    ids.extend(from..=last);
+}
+
+/// True when `cur` is `prev` with every address moved by one common signed
+/// offset and the same width at every position — then any order that sorts
+/// `prev` by start address also sorts `cur`. The offset is taken in `i128`,
+/// so no address wraps around.
+pub(crate) fn is_common_shift(prev: &[(u64, u32)], cur: &[(u64, u32)]) -> bool {
+    let (Some(&(p0, _)), Some(&(c0, _))) = (prev.first(), cur.first()) else {
+        return false;
+    };
+    let offset = c0 as i128 - p0 as i128;
+    prev.len() == cur.len()
+        && prev
+            .iter()
+            .zip(cur)
+            .all(|(&(pa, pw), &(ca, cw))| pw == cw && ca as i128 - pa as i128 == offset)
 }

@@ -1,8 +1,17 @@
-use beamdyn_par::ThreadPool;
+use std::collections::BTreeSet;
 
+use beamdyn_par::ThreadPool;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use crate::coalesce::{
+    coalesce_in_order, coalesce_into, is_common_shift, sort_by_start, SEGMENT_BYTES,
+};
+use crate::timing::sm_cycles;
 use crate::{
     coalesce, launch, DeviceConfig, KernelStats, LaunchConfig, Op, OpRecorder, Roofline,
-    SetAssocCache, WarpThread,
+    SetAssocCache, WarpRequest, WarpThread,
 };
 
 fn pool() -> ThreadPool {
@@ -131,6 +140,415 @@ fn coalesce_access_spanning_segments_counts_both() {
     let req = coalesce(&[(30, 8)], 128); // straddles segments 0 and 1
     assert_eq!(req.segments, 2);
     assert_eq!(req.lines, vec![0]);
+}
+
+#[test]
+fn coalesce_zero_byte_access_touches_nothing() {
+    // At a segment start, mid-segment, and at a line boundary.
+    for addr in [0, 33, 64] {
+        assert_eq!(
+            coalesce(&[(addr, 0)], 128),
+            WarpRequest {
+                requested_bytes: 0,
+                segments: 0,
+                lines: vec![],
+            },
+            "zero-byte access at {addr}"
+        );
+    }
+    let req = coalesce(&[(33, 0), (64, 8), (0, 0)], 128);
+    assert_eq!(req.requested_bytes, 8);
+    assert_eq!(req.segments, 1);
+    assert_eq!(req.lines, vec![0]);
+}
+
+#[test]
+fn zero_byte_load_lane_is_active_but_moves_no_bytes() {
+    struct ZeroLoad(bool);
+    impl WarpThread for ZeroLoad {
+        fn step(&mut self, rec: &mut OpRecorder) -> bool {
+            if self.0 {
+                return false;
+            }
+            rec.load(33, 0);
+            self.0 = true;
+            true
+        }
+    }
+    let device = DeviceConfig::test_tiny();
+    let out = launch(
+        &pool(),
+        &device,
+        LaunchConfig {
+            blocks: 1,
+            threads_per_block: 4,
+        },
+        |_| Some(ZeroLoad(false)),
+        |_| (),
+    );
+    assert_eq!(out.stats.load_instructions, 1);
+    assert_eq!(out.stats.active_lane_instructions, 4);
+    assert_eq!(out.stats.load_requested_bytes, 0);
+    assert_eq!(out.stats.load_transferred_bytes, 0);
+    assert_eq!(out.stats.l1_accesses, 0);
+}
+
+/// The coalescer by definition: every byte of every access, binned into
+/// segments and lines. Returns requested bytes, segment ids and line ids.
+fn naive_coalesce(accesses: &[(u64, u32)], line_size: u64) -> (u64, Vec<u64>, Vec<u64>) {
+    let mut segments = BTreeSet::new();
+    let mut lines = BTreeSet::new();
+    let mut requested = 0;
+    for &(addr, bytes) in accesses {
+        requested += bytes as u64;
+        for byte in addr..addr + bytes as u64 {
+            segments.insert(byte / SEGMENT_BYTES);
+            lines.insert(byte / line_size);
+        }
+    }
+    (
+        requested,
+        segments.into_iter().collect(),
+        lines.into_iter().collect(),
+    )
+}
+
+/// Line sizes under test; 48 is not a multiple of the segment size.
+const LINE_SIZES: [u64; 4] = [32, 64, 128, 48];
+
+/// Unsorted accesses with repeats: `addrs` paired with `widths` (which may
+/// be zero or span several segments), then the entries `dups` names again.
+fn accesses_with_repeats(addrs: &[u64], widths: &[u32], dups: &[usize]) -> Vec<(u64, u32)> {
+    let mut accesses: Vec<(u64, u32)> = addrs.iter().copied().zip(widths.iter().copied()).collect();
+    for &d in dups {
+        accesses.push(accesses[d % accesses.len()]);
+    }
+    accesses
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Sort-then-merge equals the by-definition coalescer on unsorted,
+    /// duplicated, multi-segment accesses at every line size.
+    #[test]
+    fn coalesce_matches_naive_reference(
+        addrs in prop::collection::vec(0u64..1024, 1..40),
+        widths in prop::collection::vec(0u32..80, 40),
+        dups in prop::collection::vec(0usize..40, 0..8),
+        line_pick in 0usize..4,
+    ) {
+        let line_size = LINE_SIZES[line_pick];
+        let accesses = accesses_with_repeats(&addrs, &widths, &dups);
+        let (requested, want_segments, want_lines) = naive_coalesce(&accesses, line_size);
+        let (mut segments, mut lines) = (Vec::new(), Vec::new());
+        prop_assert_eq!(
+            coalesce_into(&accesses, line_size, &mut segments, &mut lines),
+            requested
+        );
+        prop_assert_eq!(&segments, &want_segments);
+        prop_assert_eq!(&lines, &want_lines);
+        prop_assert_eq!(
+            coalesce(&accesses, line_size),
+            WarpRequest {
+                requested_bytes: requested,
+                segments: want_segments.len() as u64,
+                lines: want_lines,
+            }
+        );
+    }
+
+    /// The previous slot's order coalesces a common shift of it exactly;
+    /// moving one lane, or changing one width, is not a common shift.
+    #[test]
+    fn common_shift_reuses_the_sort_order(
+        addrs in prop::collection::vec(0u64..1024, 2..40),
+        widths in prop::collection::vec(0u32..80, 40),
+        dups in prop::collection::vec(0usize..40, 0..8),
+        offset in 0u64..4096,
+        downward in 0u8..2,
+        moved in 0usize..48,
+        line_pick in 0usize..4,
+    ) {
+        let line_size = LINE_SIZES[line_pick];
+        // Lift the pattern so a downward shift stays in the address space.
+        let prev: Vec<(u64, u32)> = accesses_with_repeats(&addrs, &widths, &dups)
+            .into_iter()
+            .map(|(a, w)| (a + 4096, w))
+            .collect();
+        let shift = |a: u64| if downward == 1 { a - offset } else { a + offset };
+        let cur: Vec<(u64, u32)> = prev.iter().map(|&(a, w)| (shift(a), w)).collect();
+        prop_assert!(is_common_shift(&prev, &cur));
+        let mut order = Vec::new();
+        sort_by_start(&prev, &mut order);
+        let (mut segments, mut lines) = (Vec::new(), Vec::new());
+        let requested = coalesce_in_order(&cur, &order, line_size, &mut segments, &mut lines);
+        let (want_requested, want_segments, want_lines) = naive_coalesce(&cur, line_size);
+        prop_assert_eq!(requested, want_requested);
+        prop_assert_eq!(&segments, &want_segments);
+        prop_assert_eq!(&lines, &want_lines);
+
+        let lane = moved % cur.len();
+        let mut jumped = cur.clone();
+        jumped[lane].0 += 8;
+        prop_assert!(!is_common_shift(&prev, &jumped));
+        let mut widened = cur.clone();
+        widened[lane].1 += 1;
+        prop_assert!(!is_common_shift(&prev, &widened));
+        prop_assert!(!is_common_shift(&prev, &cur[1..]));
+    }
+}
+
+// ---------- Replay against a by-definition reference ----------
+
+/// A thread that replays a fixed script: one op list per loop iteration.
+struct Scripted {
+    iterations: Vec<Vec<Op>>,
+    done: usize,
+}
+
+fn record(rec: &mut OpRecorder, ops: &[Op]) {
+    for &op in ops {
+        match op {
+            Op::Flops(n) => rec.flops(n),
+            Op::Load { addr, bytes } => rec.load(addr, bytes),
+            Op::Store { addr, bytes } => rec.store(addr, bytes),
+        }
+    }
+}
+
+impl WarpThread for Scripted {
+    fn step(&mut self, rec: &mut OpRecorder) -> bool {
+        let Some(ops) = self.iterations.get(self.done) else {
+            return false;
+        };
+        record(rec, ops);
+        self.done += 1;
+        true
+    }
+}
+
+/// The replay by definition, for one block whose warps all run on one SM:
+/// lanes in lane order, a per-lane live check, the naive coalescer, and the
+/// SM's caches fed each slot's lines in ascending order.
+fn reference_replay(device: &DeviceConfig, warps: &[Vec<Vec<Vec<Op>>>]) -> KernelStats {
+    let mut l1 = SetAssocCache::new(device.l1_bytes, device.l1_line, device.l1_ways);
+    let mut l2 = SetAssocCache::new(device.l2_slice_bytes(), device.l2_line, device.l2_ways);
+    let line = device.l1_line as u64;
+    let mut stats = KernelStats::default();
+    for warp in warps {
+        stats.warps += 1;
+        stats.threads += warp.len() as u64;
+        for round in 0.. {
+            let recorded: Vec<Vec<Op>> = warp
+                .iter()
+                .filter_map(|iterations| iterations.get(round))
+                .map(|ops| {
+                    let mut rec = OpRecorder::new();
+                    record(&mut rec, ops);
+                    rec.ops().to_vec()
+                })
+                .collect();
+            if recorded.is_empty() {
+                break;
+            }
+            let slots = recorded.iter().map(Vec::len).max().unwrap_or(0);
+            for s in 0..slots {
+                let ops: Vec<Op> = recorded.iter().filter_map(|r| r.get(s).copied()).collect();
+                let flops: Vec<u64> = ops
+                    .iter()
+                    .filter_map(|op| match *op {
+                        Op::Flops(n) => Some(n as u64),
+                        _ => None,
+                    })
+                    .collect();
+                let loads: Vec<(u64, u32)> = ops
+                    .iter()
+                    .filter_map(|op| match *op {
+                        Op::Load { addr, bytes } => Some((addr, bytes)),
+                        _ => None,
+                    })
+                    .collect();
+                let stores: Vec<(u64, u32)> = ops
+                    .iter()
+                    .filter_map(|op| match *op {
+                        Op::Store { addr, bytes } => Some((addr, bytes)),
+                        _ => None,
+                    })
+                    .collect();
+                if !flops.is_empty() {
+                    stats.issued_instructions += 1;
+                    stats.active_lane_instructions += flops.len() as u64;
+                    stats.useful_flops += flops.iter().sum::<u64>();
+                    stats.issued_lane_flops +=
+                        flops.iter().max().unwrap() * device.warp_size as u64;
+                }
+                if !loads.is_empty() {
+                    stats.issued_instructions += 1;
+                    stats.active_lane_instructions += loads.len() as u64;
+                    stats.load_instructions += 1;
+                    let (requested, segments, lines) = naive_coalesce(&loads, line);
+                    stats.load_requested_bytes += requested;
+                    stats.load_transferred_bytes += segments.len() as u64 * SEGMENT_BYTES;
+                    for l in lines {
+                        stats.l1_accesses += 1;
+                        if l1.access_line(l) {
+                            stats.l1_hits += 1;
+                        } else {
+                            stats.l2_accesses += 1;
+                            if l2.access_line(l) {
+                                stats.l2_hits += 1;
+                            } else {
+                                stats.dram_bytes += line;
+                            }
+                        }
+                    }
+                }
+                if !stores.is_empty() {
+                    stats.issued_instructions += 1;
+                    stats.active_lane_instructions += stores.len() as u64;
+                    let (requested, segments, _) = naive_coalesce(&stores, line);
+                    stats.store_requested_bytes += requested;
+                    stats.dram_bytes += segments.len() as u64 * SEGMENT_BYTES;
+                }
+            }
+        }
+    }
+    stats.max_sm_cycles = sm_cycles(device, stats.issued_lane_flops, stats.l1_accesses);
+    stats
+}
+
+/// 8-lane warps over the test device's small caches.
+fn eight_lane_device() -> DeviceConfig {
+    DeviceConfig {
+        warp_size: 8,
+        ..DeviceConfig::test_tiny()
+    }
+}
+
+/// Launches `warps` as one block (lane `l` of warp `w` is thread
+/// `w * warp_size + l`, running script `perm(w, l)`) and checks that every
+/// thread ran its whole script.
+fn launch_scripts(
+    device: &DeviceConfig,
+    warps: &[Vec<Vec<Vec<Op>>>],
+    perm: impl Fn(usize, usize) -> usize + Sync,
+) -> KernelStats {
+    let lanes = device.warp_size;
+    let out = launch(
+        &pool(),
+        device,
+        LaunchConfig {
+            blocks: 1,
+            threads_per_block: warps.len() * lanes,
+        },
+        |tid| {
+            let (w, l) = (tid / lanes, tid % lanes);
+            Some(Scripted {
+                iterations: warps[w][perm(w, l)].clone(),
+                done: 0,
+            })
+        },
+        |t| t.done,
+    );
+    for (tid, done) in out.results.iter().enumerate() {
+        let (w, l) = (tid / lanes, tid % lanes);
+        assert_eq!(*done, Some(warps[w][perm(w, l)].len()), "thread {tid}");
+    }
+    out.stats
+}
+
+/// One warp's scripts: every lane loads `base + slot * stride` at its own
+/// base and width for `slots` slots (flops between some of them), except
+/// that at slot `jump_at` lane `jumper` reads far away; trip counts differ
+/// per lane when `divergent`, and each iteration ends with a store.
+fn shifting_warp(rng: &mut SmallRng, lanes: usize, divergent: bool) -> Vec<Vec<Vec<Op>>> {
+    let slots = rng.random_range(2usize..12);
+    let jump_at = rng.random_range(0..slots);
+    let jumper = rng.random_range(0..lanes);
+    let stride: i64 = rng.random_range(-200i64..200);
+    let flop_every = rng.random_range(1usize..4);
+    let lane_base: Vec<(u64, u32)> = (0..lanes)
+        .map(|_| {
+            let width = [4u32, 8, 16, 40][rng.random_range(0usize..4)];
+            (rng.random_range(8192u64..12288), width)
+        })
+        .collect();
+    (0..lanes)
+        .map(|lane| {
+            let trips = if divergent {
+                rng.random_range(1usize..4)
+            } else {
+                2
+            };
+            (0..trips)
+                .map(|trip| {
+                    let mut ops = Vec::new();
+                    for slot in 0..slots {
+                        if slot % flop_every == 0 {
+                            ops.push(Op::Flops(1 + (lane + slot) as u32 % 3));
+                        }
+                        let (base, bytes) = lane_base[lane];
+                        let step = (trip * slots + slot) as i64 * stride;
+                        let mut addr = (base as i64 + step) as u64;
+                        if slot == jump_at && lane == jumper {
+                            addr += 1 << 20;
+                        }
+                        ops.push(Op::Load { addr, bytes });
+                    }
+                    ops.push(Op::Store {
+                        addr: 1 << 24 | (lane as u64 * 8),
+                        bytes: 8,
+                    });
+                    ops
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Loads that shift by one offset for several slots, then one lane
+    /// jumps: the replay (order reuse, longest-stream-first gather) gives
+    /// the reference's stats exactly.
+    #[test]
+    fn shifting_loads_with_a_jump_replay_like_the_reference(
+        seed in 0u64..u64::MAX,
+        divergent in 0u8..2,
+    ) {
+        let device = eight_lane_device();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let warps: Vec<_> = (0..2)
+            .map(|_| shifting_warp(&mut rng, device.warp_size, divergent == 1))
+            .collect();
+        let got = launch_scripts(&device, &warps, |_, l| l);
+        prop_assert_eq!(got, reference_replay(&device, &warps));
+    }
+
+    /// Permuting the lanes of each warp of a divergent launch changes no
+    /// counter: a slot's stats depend only on the multiset of its lane ops.
+    #[test]
+    fn permuting_lanes_within_warps_keeps_stats(seed in 0u64..u64::MAX) {
+        let device = eight_lane_device();
+        let lanes = device.warp_size;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let warps: Vec<_> = (0..2).map(|_| shifting_warp(&mut rng, lanes, true)).collect();
+        let perms: Vec<Vec<usize>> = (0..warps.len())
+            .map(|_| {
+                let mut p: Vec<usize> = (0..lanes).collect();
+                for i in (1..lanes).rev() {
+                    p.swap(i, rng.random_range(0..i + 1));
+                }
+                p
+            })
+            .collect();
+        let straight = launch_scripts(&device, &warps, |_, l| l);
+        let permuted = launch_scripts(&device, &warps, |w, l| perms[w][l]);
+        prop_assert_eq!(&straight, &permuted);
+        prop_assert_eq!(straight, reference_replay(&device, &warps));
+    }
 }
 
 // ---------- Launch / replay ----------

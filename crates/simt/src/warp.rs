@@ -1,7 +1,9 @@
 //! Warp-lockstep replay against one SM's memory hierarchy.
 
+use std::cmp::Reverse;
+
 use crate::cache::SetAssocCache;
-use crate::coalesce::{coalesce_into, SEGMENT_BYTES};
+use crate::coalesce::{coalesce_in_order, is_common_shift, sort_by_start, SEGMENT_BYTES};
 use crate::device::DeviceConfig;
 use crate::op::{Op, OpRecorder};
 use crate::stats::KernelStats;
@@ -12,9 +14,17 @@ use crate::stats::KernelStats;
 #[derive(Default)]
 pub(crate) struct ReplayScratch {
     recorders: Vec<OpRecorder>,
-    live: Vec<bool>,
+    /// Live lanes, in lane order.
+    live: Vec<usize>,
+    /// This round's live lanes, longest op stream first.
+    by_len: Vec<usize>,
     loads: Vec<(u64, u32)>,
+    /// The previous load slot's accesses; `load_order` sorts them by start
+    /// address, and so also sorts any slot that is their common shift.
+    prev_loads: Vec<(u64, u32)>,
+    load_order: Vec<u32>,
     stores: Vec<(u64, u32)>,
+    store_order: Vec<u32>,
     segments: Vec<u64>,
     lines: Vec<u64>,
 }
@@ -71,63 +81,58 @@ pub(crate) fn replay_warp<T: WarpThread>(device: &DeviceConfig, sm: &mut SmState
     let ReplayScratch {
         recorders,
         live,
+        by_len,
         loads,
+        prev_loads,
+        load_order,
         stores,
+        store_order,
         segments,
         lines,
     } = scratch;
     if recorders.len() < lanes.len() {
         recorders.resize_with(lanes.len(), OpRecorder::new);
     }
-    let recorders = &mut recorders[..lanes.len()];
     live.clear();
-    live.resize(lanes.len(), true);
+    live.extend(0..lanes.len());
 
     loop {
-        let mut any = false;
-        for (i, thread) in lanes.iter_mut().enumerate() {
+        live.retain(|&i| {
             recorders[i].clear();
-            if live[i] {
-                live[i] = thread.step(&mut recorders[i]);
-                any |= live[i];
-            }
-        }
-        if !any {
+            lanes[i].step(&mut recorders[i])
+        });
+        if live.is_empty() {
             break;
         }
 
         // Lockstep replay: op slot s across all lanes that recorded one.
-        let max_ops = recorders
-            .iter()
-            .zip(live.iter())
-            .filter(|&(_, &l)| l)
-            .map(|(r, _)| r.len())
-            .max()
-            .unwrap_or(0);
+        // With the lanes visited longest stream first, those lanes are the
+        // prefix `by_len[..here]`, which shrinks as s grows. A slot's stats
+        // depend only on the multiset of its lane ops, not on lane order.
+        by_len.clear();
+        by_len.extend_from_slice(live);
+        by_len.sort_unstable_by_key(|&i| Reverse(recorders[i].len()));
+        let max_ops = recorders[by_len[0]].len();
+        let mut here = by_len.len();
         for s in 0..max_ops {
+            while recorders[by_len[here - 1]].len() <= s {
+                here -= 1;
+            }
             // Group lanes at this slot by op kind; each kind is one issue.
             let mut flop_lanes = 0u64;
             let mut flop_total = 0u64;
             let mut flop_max = 0u64;
             loads.clear();
-            let mut store_lanes = 0u64;
             stores.clear();
-            for (i, rec) in recorders.iter().enumerate() {
-                if !live[i] {
-                    continue;
-                }
-                match rec.ops().get(s) {
-                    Some(&Op::Flops(n)) => {
+            for &i in &by_len[..here] {
+                match recorders[i].ops()[s] {
+                    Op::Flops(n) => {
                         flop_lanes += 1;
                         flop_total += n as u64;
                         flop_max = flop_max.max(n as u64);
                     }
-                    Some(&Op::Load { addr, bytes }) => loads.push((addr, bytes)),
-                    Some(&Op::Store { addr, bytes }) => {
-                        store_lanes += 1;
-                        stores.push((addr, bytes));
-                    }
-                    None => {}
+                    Op::Load { addr, bytes } => loads.push((addr, bytes)),
+                    Op::Store { addr, bytes } => stores.push((addr, bytes)),
                 }
             }
 
@@ -143,7 +148,14 @@ pub(crate) fn replay_warp<T: WarpThread>(device: &DeviceConfig, sm: &mut SmState
                 stats.issued_instructions += 1;
                 stats.active_lane_instructions += loads.len() as u64;
                 stats.load_instructions += 1;
-                let requested = coalesce_into(loads, device.l1_line as u64, segments, lines);
+                // Sort only when this slot is not the previous load slot
+                // shifted by one offset.
+                if !is_common_shift(prev_loads, loads) {
+                    sort_by_start(loads, load_order);
+                }
+                let requested =
+                    coalesce_in_order(loads, load_order, device.l1_line as u64, segments, lines);
+                std::mem::swap(prev_loads, loads);
                 stats.load_requested_bytes += requested;
                 stats.load_transferred_bytes += segments.len() as u64 * SEGMENT_BYTES;
                 for &line in lines.iter() {
@@ -160,10 +172,12 @@ pub(crate) fn replay_warp<T: WarpThread>(device: &DeviceConfig, sm: &mut SmState
                     }
                 }
             }
-            if store_lanes > 0 {
+            if !stores.is_empty() {
                 stats.issued_instructions += 1;
-                stats.active_lane_instructions += store_lanes;
-                let requested = coalesce_into(stores, device.l1_line as u64, segments, lines);
+                stats.active_lane_instructions += stores.len() as u64;
+                sort_by_start(stores, store_order);
+                let requested =
+                    coalesce_in_order(stores, store_order, device.l1_line as u64, segments, lines);
                 stats.store_requested_bytes += requested;
                 // Kepler global stores bypass L1 and write through L2 to
                 // DRAM; account the transferred segments as DRAM traffic.
