@@ -113,6 +113,10 @@ pub fn longitudinal_wake_of(density: &[f64], s0: f64, ds: f64) -> Vec<f64> {
         if t <= 0.0 || t >= (n - 1) as f64 {
             return 0.0;
         }
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "analytic CSR reference, off the simulation's hot path"
+        )]
         let i = t.floor() as usize;
         let frac = t - i as f64;
         dlam[i] * (1.0 - frac) + dlam[i + 1] * frac

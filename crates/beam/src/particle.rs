@@ -47,13 +47,21 @@ impl Beam {
     }
 
     /// Charge-weighted centroid `(x̄, ȳ)`.
+    ///
+    /// One pass with three accumulators: `q = Σw`, `Σw·x` and `Σw·y`, each
+    /// folded in particle order from `-0.0` (the identity `Iterator::sum`
+    /// starts from), so the result has the bits of three separate `.sum()`
+    /// passes.
     pub fn centroid(&self) -> (f64, f64) {
-        let q = self.total_charge();
+        let (q, sx, sy) = self
+            .particles
+            .iter()
+            .fold((-0.0, -0.0, -0.0), |(q, sx, sy), p| {
+                (q + p.weight, sx + p.weight * p.x, sy + p.weight * p.y)
+            });
         if q == 0.0 {
             return (0.0, 0.0);
         }
-        let sx: f64 = self.particles.iter().map(|p| p.weight * p.x).sum();
-        let sy: f64 = self.particles.iter().map(|p| p.weight * p.y).sum();
         (sx / q, sy / q)
     }
 

@@ -498,6 +498,10 @@ fn mean_square_error_basic() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test-side index of the nearest sample, not simulation code"
+)]
 fn convolved_wake_matches_gaussian_special_case() {
     use crate::csr::longitudinal_wake_of;
     // Sample the normalised Gaussian line density and convolve numerically;

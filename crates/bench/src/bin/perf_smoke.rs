@@ -150,8 +150,8 @@ fn canonical_best_of_2(
 
 /// Gates the SoA deposit + gather + push pipeline against the scalar stage
 /// path on the canonical particle load. Both sides run the work the driver
-/// runs per step (sample refill / SoA refill included); min-of-two outer
-/// repetitions damps scheduler noise.
+/// runs per step (sample refill / parallel SoA fill included); min-of-two
+/// outer repetitions damps scheduler noise.
 fn soa_stage_microbench(pool: &ThreadPool) -> bool {
     let geometry = GridGeometry::unit(scenario::RESOLUTION, scenario::RESOLUTION);
     let bunch = beamdyn_beam::GaussianBunch {
@@ -208,13 +208,13 @@ fn soa_stage_microbench(pool: &ThreadPool) -> bool {
         let (mut fx, mut fy) = (Vec::new(), Vec::new());
         let t0 = Instant::now();
         for _ in 0..ROUNDS {
-            soa.refill(beam.particles.iter().map(|p| DepositSample {
+            soa.fill(pool, &beam.particles, |p| DepositSample {
                 x: p.x,
                 y: p.y,
                 weight: p.weight,
                 vx: p.vx,
                 vy: p.vy,
-            }));
+            });
             grid.reset();
             deposit_cic_simd(pool, &mut grid, &soa);
             gather_forces_simd(pool, &potential, &soa, &mut gx, &mut gy, &mut fx, &mut fy);

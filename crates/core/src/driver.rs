@@ -33,7 +33,7 @@ use beamdyn_obs as obs;
 
 use beamdyn_beam::forces::{gather_forces, gather_forces_simd, ScalarField};
 use beamdyn_beam::push::{drift, kick, push_step_simd};
-use beamdyn_beam::{Beam, RpConfig};
+use beamdyn_beam::{Beam, Particle, RpConfig};
 use beamdyn_par::ThreadPool;
 use beamdyn_pic::{
     deposit_cic, deposit_cic_simd, refill_samples, DepositSample, GridGeometry, GridHistory,
@@ -262,24 +262,27 @@ impl SimCore {
             self.config.rp.center = self.beam.centroid();
         }
         // The SIMD backend runs the particle pipeline over the workspace's
-        // pooled SoA scratch: filled from the beam once here, pushed in
-        // place, written back after the drift.
+        // pooled SoA scratch: copied from the beam in parallel here, pushed
+        // in place, written back to the beam inside the push pass.
         let simd = self.backend.kind() == BackendKind::NativeSimd;
         // --- 1. Particle deposition ---
         let deposit_span = obs::span!("deposit");
         let mut grid = workspace.take_grid(self.config.geometry);
-        let samples = self.beam.particles.iter().map(|p| DepositSample {
+        let sample = |p: &Particle| DepositSample {
             x: p.x,
             y: p.y,
             weight: p.weight,
             vx: p.vx,
             vy: p.vy,
-        });
+        };
         if simd {
-            workspace.particles.refill(samples);
+            workspace.particles.fill(pool, &self.beam.particles, sample);
             deposit_cic_simd(pool, &mut grid, &workspace.particles);
         } else {
-            refill_samples(&mut workspace.deposit_samples, samples);
+            refill_samples(
+                &mut workspace.deposit_samples,
+                self.beam.particles.iter().map(sample),
+            );
             deposit_cic(pool, &mut grid, &workspace.deposit_samples);
         }
         if let Some(evicted) = self.history.push(self.step, grid) {

@@ -97,6 +97,43 @@ impl GridGeometry {
     }
 }
 
+/// Lower corner of the 2×2 cloud-in-cell patch for fractional coordinate
+/// `f` on an axis of `n` cells: `⌊f⌋` clamped to `[0, n − 2]`.
+///
+/// A truncating cast replaces `f.floor()` (DESIGN.md §17: no libm; without
+/// SSE4.1 `floor` is a library call). The clamped results are equal for
+/// every f64: truncation is floor for `f ≥ 0`; on `(−1, 0)` truncation
+/// gives 0 where floor gives −1, and both clamp to 0; below that both are
+/// negative; NaN casts to 0 and ±∞ saturate either way.
+#[inline(always)]
+pub fn cic_lower(f: f64, n: usize) -> usize {
+    (f as isize).clamp(0, n as isize - 2) as usize
+}
+
+/// Centre of the 3×3 stencil patch for fractional coordinate `f` on an
+/// axis of `n` cells: `f` rounded half away from zero, clamped to
+/// `[1, n − 2]`.
+///
+/// Equal to `(f.round() as isize).clamp(1, n − 2)` for every f64 without
+/// calling libm: `t = f as isize` truncates, `f − t` is the exact fraction
+/// (below 2⁵² the two share their sign and high bits; above it `f` is
+/// integral and the fraction is 0), and `|f − t| ≥ 0.5` steps one cell
+/// away from zero. NaN gives 0; ±∞ and values beyond 2⁶³ saturate, as the
+/// saturating ±1 keeps them.
+#[inline(always)]
+pub fn stencil_center(f: f64, n: usize) -> usize {
+    let t = f as isize;
+    let frac = f - t as f64;
+    let r = if frac >= 0.5 {
+        t.saturating_add(1)
+    } else if frac <= -0.5 {
+        t.saturating_sub(1)
+    } else {
+        t
+    };
+    r.clamp(1, n as isize - 2) as usize
+}
+
 /// One time step's deposited moments: `N_MOMENTS` scalar fields over the grid.
 ///
 /// Components are stored planar (structure-of-arrays): component `c` occupies

@@ -1,7 +1,7 @@
 //! Gather interpolation: bilinear force gather and the 27-point space-time
 //! stencil used to approximate the rp-integrand `f⁽ᵖ⁾(r', θ', t')`.
 
-use crate::grid::MomentGrid;
+use crate::grid::{cic_lower, stencil_center, MomentGrid};
 use crate::history::GridHistory;
 
 /// Bilinear (CIC-conjugate) gather of one moment component at a physical
@@ -9,8 +9,8 @@ use crate::history::GridHistory;
 pub fn bilinear_gather(grid: &MomentGrid, component: usize, x: f64, y: f64) -> f64 {
     let geometry = grid.geometry();
     let (fx, fy) = geometry.fractional(x, y);
-    let ix0 = (fx.floor() as isize).clamp(0, geometry.nx as isize - 2);
-    let iy0 = (fy.floor() as isize).clamp(0, geometry.ny as isize - 2);
+    let ix0 = cic_lower(fx, geometry.nx) as isize;
+    let iy0 = cic_lower(fy, geometry.ny) as isize;
     let tx = (fx - ix0 as f64).clamp(0.0, 1.0);
     let ty = (fy - iy0 as f64).clamp(0.0, 1.0);
     let v00 = grid.get_clamped(component, ix0, iy0);
@@ -83,8 +83,8 @@ impl Stencil27 {
         );
         let (fx, fy) = geometry.fractional(x, y);
         // Nearest cell centre, kept one cell away from the border.
-        let cx = (fx.round() as isize).clamp(1, geometry.nx as isize - 2);
-        let cy = (fy.round() as isize).clamp(1, geometry.ny as isize - 2);
+        let cx = stencil_center(fx, geometry.nx);
+        let cy = stencil_center(fy, geometry.ny);
         let ux = fx - cx as f64;
         let uy = fy - cy as f64;
         let wx = bspline3(ux);
@@ -103,8 +103,8 @@ impl Stencil27 {
             for (yi, &wyi) in wy.iter().enumerate() {
                 for (xi, &wxi) in wx.iter().enumerate() {
                     taps[n] = StencilTap {
-                        ix: (cx + xi as isize - 1) as usize,
-                        iy: (cy + yi as isize - 1) as usize,
+                        ix: cx + xi - 1,
+                        iy: cy + yi - 1,
                         dt: ti as i32 - 1,
                         weight: wti * wyi * wxi,
                     };
@@ -172,13 +172,13 @@ impl StencilWindow {
             "stencil needs a 3x3 patch"
         );
         let (fx, fy) = geometry.fractional(x, y);
-        let cx = (fx.round() as isize).clamp(1, geometry.nx as isize - 2);
-        let cy = (fy.round() as isize).clamp(1, geometry.ny as isize - 2);
+        let cx = stencil_center(fx, geometry.nx);
+        let cy = stencil_center(fy, geometry.ny);
         let ux = fx - cx as f64;
         let uy = fy - cy as f64;
         Self {
-            x0: (cx - 1) as usize,
-            y0: (cy - 1) as usize,
+            x0: cx - 1,
+            y0: cy - 1,
             wx: bspline3(ux),
             wy: bspline3(uy),
             wt: lagrange3(s.clamp(0.0, 1.0)),
@@ -257,11 +257,11 @@ impl StencilResolver {
         let g = self.geometry;
         let fx = (x - g.x_min) / self.dx - 0.5;
         let fy = (y - g.y_min) / self.dy - 0.5;
-        let cx = (fx.round() as isize).clamp(1, g.nx as isize - 2);
-        let cy = (fy.round() as isize).clamp(1, g.ny as isize - 2);
+        let cx = stencil_center(fx, g.nx);
+        let cy = stencil_center(fy, g.ny);
         StencilWindow {
-            x0: (cx - 1) as usize,
-            y0: (cy - 1) as usize,
+            x0: cx - 1,
+            y0: cy - 1,
             wx: bspline3(fx - cx as f64),
             wy: bspline3(fy - cy as f64),
             wt: self.wt,

@@ -14,7 +14,10 @@ mod interp;
 mod soa;
 
 pub use deposit::{deposit_cic, deposit_cic_simd, refill_samples, DepositSample};
-pub use grid::{GridGeometry, MomentGrid, MOMENT_CHARGE, MOMENT_JX, MOMENT_JY, N_MOMENTS};
+pub use grid::{
+    cic_lower, stencil_center, GridGeometry, MomentGrid, MOMENT_CHARGE, MOMENT_JX, MOMENT_JY,
+    N_MOMENTS,
+};
 pub use history::GridHistory;
 pub use interp::{bilinear_gather, Stencil27, StencilResolver, StencilTap, StencilWindow};
 pub use soa::ParticleSoA;

@@ -284,3 +284,123 @@ fn history_skipped_steps_do_not_alias() {
     assert!(h.get(3).is_none(), "skipped step must read as missing");
     assert!(h.get(4).is_some());
 }
+
+/// The libm-free index helpers against the `floor`/`round` forms they
+/// replace, on hand-picked specials and on arbitrary f64 bit patterns.
+mod index_helpers {
+    #![allow(
+        clippy::disallowed_methods,
+        reason = "the libm forms are the reference the helpers must equal"
+    )]
+
+    use proptest::prelude::*;
+
+    use crate::{cic_lower, stencil_center};
+
+    /// Axis lengths from the smallest legal grid to ones whose clamp
+    /// bound lies beyond every representable integer below 2⁶³.
+    const AXES: [usize; 7] = [2, 3, 4, 24, 1000, 1 << 62, isize::MAX as usize];
+
+    fn floor_form(f: f64, n: usize) -> usize {
+        (f.floor() as isize).clamp(0, n as isize - 2) as usize
+    }
+
+    fn round_form(f: f64, n: usize) -> usize {
+        (f.round() as isize).clamp(1, n as isize - 2) as usize
+    }
+
+    fn check(f: f64) -> Result<(), String> {
+        for n in AXES {
+            prop_assert_eq!(
+                cic_lower(f, n),
+                floor_form(f, n),
+                "cic_lower({:e}, {})",
+                f,
+                n
+            );
+            if n >= 3 {
+                prop_assert_eq!(
+                    stencil_center(f, n),
+                    round_form(f, n),
+                    "stencil_center({:e}, {})",
+                    f,
+                    n
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn helpers_equal_libm_forms_on_specials() {
+        let p52 = 2f64.powi(52);
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            p52 + 0.5,
+            p52 - 0.5,
+            -(p52 + 0.5),
+            -(p52 - 0.5),
+            p52 + 1.0,
+            9.3e18,
+            -9.3e18,
+            9.223372036854775e18,
+            2f64.powi(63),
+            -(2f64.powi(63)),
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(1 | (1 << 63)),
+            f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            -1.0 + f64::EPSILON / 2.0,
+            22.5,
+            22.499999999999996,
+            999.5,
+        ];
+        for f in specials {
+            check(f).unwrap();
+            check(f.next_up()).unwrap();
+            check(f.next_down()).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn helpers_equal_libm_forms_on_arbitrary_bits(
+            bits in prop::collection::vec(0u64..u64::MAX, 512),
+            near in prop::collection::vec(-1.0e3f64..1.0e3, 512),
+            halves in prop::collection::vec(-2048i64..2048, 512),
+        ) {
+            for &b in &bits {
+                check(f64::from_bits(b))?;
+            }
+            for &f in &near {
+                check(f)?;
+            }
+            for &h in &halves {
+                let f = h as f64 + 0.5;
+                check(f)?;
+                check(f.next_up())?;
+                check(f.next_down())?;
+            }
+        }
+    }
+}
