@@ -17,7 +17,7 @@
 //! substeps.
 
 use beamdyn_par::simd::F64x4;
-use beamdyn_par::ThreadPool;
+use beamdyn_par::{DisjointPtr, ThreadPool};
 
 use crate::particle::Beam;
 
@@ -28,7 +28,7 @@ pub type Forces = Vec<(f64, f64)>;
 pub fn kick(pool: &ThreadPool, beam: &mut Beam, forces: &Forces, dt: f64) {
     assert_eq!(beam.len(), forces.len(), "one force sample per particle");
     let n = beam.particles.len();
-    let ptr = ParticlesPtr(beam.particles.as_mut_ptr());
+    let ptr = DisjointPtr::new(&mut beam.particles);
     pool.parallel_for_chunks(0..n, 1024, |range| {
         for i in range {
             // SAFETY: chunks are disjoint; each particle touched once.
@@ -43,7 +43,7 @@ pub fn kick(pool: &ThreadPool, beam: &mut Beam, forces: &Forces, dt: f64) {
 /// Advances positions `x += v·dt`.
 pub fn drift(pool: &ThreadPool, beam: &mut Beam, dt: f64) {
     let n = beam.particles.len();
-    let ptr = ParticlesPtr(beam.particles.as_mut_ptr());
+    let ptr = DisjointPtr::new(&mut beam.particles);
     pool.parallel_for_chunks(0..n, 1024, |range| {
         for i in range {
             // SAFETY: chunks are disjoint; each particle touched once.
@@ -92,11 +92,11 @@ pub fn push_step_simd(
     assert_eq!(fx.len(), n, "one force sample per particle");
     assert_eq!(fy.len(), n, "one force sample per particle");
     assert_eq!(beam.len(), n, "beam/SoA length mismatch");
-    let px = ColumnPtr::new(particles.x.as_mut_ptr());
-    let py = ColumnPtr::new(particles.y.as_mut_ptr());
-    let pvx = ColumnPtr::new(particles.vx.as_mut_ptr());
-    let pvy = ColumnPtr::new(particles.vy.as_mut_ptr());
-    let pb = ParticlesPtr(beam.particles.as_mut_ptr());
+    let px = DisjointPtr::new(&mut particles.x);
+    let py = DisjointPtr::new(&mut particles.y);
+    let pvx = DisjointPtr::new(&mut particles.vx);
+    let pvy = DisjointPtr::new(&mut particles.vy);
+    let pb = DisjointPtr::new(&mut beam.particles);
     pool.parallel_for_chunks(0..n, 1024, |range| {
         let dtv = F64x4::splat(dt);
         let sv = F64x4::splat(force_scale);
@@ -148,44 +148,3 @@ pub fn push_step_simd(
         }
     });
 }
-
-/// Raw column pointer shared across pool workers; see [`ParticlesPtr`] for
-/// the aliasing contract (disjoint index ranges per worker).
-pub(crate) struct ColumnPtr(*mut f64);
-impl ColumnPtr {
-    pub(crate) fn new(p: *mut f64) -> Self {
-        Self(p)
-    }
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    pub(crate) fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-impl Clone for ColumnPtr {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ColumnPtr {}
-// SAFETY: disjoint index ranges per worker (see parallel_for_chunks usage).
-unsafe impl Send for ColumnPtr {}
-unsafe impl Sync for ColumnPtr {}
-
-struct ParticlesPtr(*mut crate::particle::Particle);
-impl ParticlesPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    fn get(&self) -> *mut crate::particle::Particle {
-        self.0
-    }
-}
-impl Clone for ParticlesPtr {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ParticlesPtr {}
-// SAFETY: disjoint index ranges per worker (see parallel_for_chunks usage).
-unsafe impl Send for ParticlesPtr {}
-unsafe impl Sync for ParticlesPtr {}

@@ -25,7 +25,7 @@ mod range;
 pub mod simd;
 
 pub use latch::CountLatch;
-pub use pool::{global, ThreadPool};
+pub use pool::{global, DisjointPtr, ThreadPool};
 pub use range::split_evenly;
 
 #[cfg(test)]

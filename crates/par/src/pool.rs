@@ -370,3 +370,49 @@ pub fn global() -> &'static ThreadPool {
         ThreadPool::new(cpus.saturating_sub(1))
     })
 }
+
+/// A buffer's base pointer shared by the participants of one
+/// [`ThreadPool::parallel_for_chunks`] call, each of which writes only the
+/// indices of the chunks it is handed.
+///
+/// The wrapper only makes the pointer `Send + Sync`. Every dereference is
+/// the caller's `unsafe` promise that the index lies inside the buffer and
+/// that no two participants touch the same index.
+#[derive(Debug)]
+pub struct DisjointPtr<T>(*mut T);
+
+impl<T> DisjointPtr<T> {
+    /// Shares `buf`'s base pointer. `buf` must outlive every use.
+    pub fn new(buf: &mut [T]) -> Self {
+        Self(buf.as_mut_ptr())
+    }
+
+    /// The base pointer. A method rather than field access, so closures
+    /// capture the whole `Sync` wrapper, not the bare raw pointer.
+    #[inline(always)]
+    pub fn get(&self) -> *mut T {
+        self.0
+    }
+
+    /// Slots `range` of the buffer as a mutable slice.
+    ///
+    /// # Safety
+    /// `range` must lie inside the buffer, and no other live reference may
+    /// overlap it.
+    #[inline(always)]
+    pub unsafe fn slice<'a>(&self, range: Range<usize>) -> &'a mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
+    }
+}
+
+impl<T> Clone for DisjointPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for DisjointPtr<T> {}
+
+// SAFETY: participants write disjoint index ranges (the contract above).
+unsafe impl<T: Send> Send for DisjointPtr<T> {}
+unsafe impl<T: Send> Sync for DisjointPtr<T> {}
