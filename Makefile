@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 acceptance gate;
 # `make ci` runs everything .github/workflows/ci.yml runs.
 
-.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check simd-check perf-smoke benchmark benchmark-serve ab clean
+.PHONY: verify ci fmt lint test workspace-reuse kernel-smoke trace-smoke serve serve-smoke load-smoke health-smoke timeline-smoke bench bench-baseline bench-check backend-check perf-smoke benchmark benchmark-serve ab clean
 
 # Tier-1 gate: exactly what the roadmap requires to stay green.
 verify:
@@ -19,7 +19,6 @@ ci: fmt lint verify
 	$(MAKE) timeline-smoke
 	$(MAKE) bench-check
 	$(MAKE) backend-check
-	$(MAKE) simd-check
 	$(MAKE) perf-smoke
 	$(MAKE) benchmark-serve
 	cargo test --manifest-path benchmark/Cargo.toml --offline
@@ -112,18 +111,10 @@ bench-baseline:
 bench-check:
 	cargo run --release -p beamdyn-bench --bin bench_baseline -- --check
 
-# The differential backend gate (DESIGN.md §13): NativeFast must be
-# bit-identical to TracedSimt on the golden corpus, and the smoke targets
-# must run end to end on the native backend too.
+# The differential backend gate (DESIGN.md §13, §17): NativeSimd must make
+# the traced lane's decisions with equal counts (plus both lanes' committed
+# golden bit patterns), and the smoke targets must run end to end on it too.
 backend-check:
-	cargo test --release --test backend_equivalence --test rp_golden
-	BEAMDYN_BACKEND=native cargo test --release --test workspace_reuse --test determinism
-	BEAMDYN_BACKEND=native cargo run --release --example kernel_comparison
-
-# The SIMD lane gate (DESIGN.md §17): NativeSimd must match the scalar
-# backends within the ULP-bounded contract (plus its own committed golden
-# bit patterns), and the smoke targets must run end to end on it too.
-simd-check:
 	cargo test --release --test backend_equivalence --test rp_golden
 	BEAMDYN_BACKEND=native-simd cargo test --release --test workspace_reuse --test determinism
 	BEAMDYN_BACKEND=native-simd cargo run --release --example kernel_comparison
@@ -131,7 +122,7 @@ simd-check:
 # Hot-path perf gate (DESIGN.md §12, §17): prints the GridRp::eval scalar
 # vs simd microbench, asserts the per-kernel integrand-eval budgets of the
 # canonical scenario, the backend-lane count equality and wall-clock
-# ordering (traced > native > simd on Two-Phase), and the SoA
+# ordering (traced > simd on every kernel), and the SoA
 # deposit+gather/push pipeline speedup floor.
 perf-smoke:
 	cargo run --release -p beamdyn-bench --bin perf_smoke

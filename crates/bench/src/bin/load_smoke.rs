@@ -53,7 +53,7 @@ const FAIRNESS_RATIO: f64 = 25.0;
 const FAIRNESS_FLOOR_MS: f64 = 15.0;
 
 const KERNELS: [&str; 3] = ["two-phase", "heuristic", "predictive"];
-const BACKENDS: [&str; 2] = ["traced", "native"];
+const BACKENDS: [&str; 2] = ["traced", "native-simd"];
 
 fn fail(child: &mut Child, msg: &str) -> ! {
     let _ = child.kill();

@@ -10,14 +10,10 @@
 //!   kernel: the sample-reuse machinery (seeded Simpson + charge replay)
 //!   must keep the *real* integrand evaluations under a per-kernel fresh
 //!   fraction budget. Counters are deterministic, so this gates exactly;
-//! * the **backend lanes**: the same scenario re-run on NativeFast and
-//!   NativeSimd must perform exactly the same real integrand work
-//!   (deterministic, gates). NativeFast must beat TracedSimt on host
-//!   wall-clock (large margin — the traced path carries a whole simulated
-//!   memory system). NativeSimd must beat NativeFast's potentials stage on
-//!   the canonical Two-Phase run (min-of-two runs per backend to damp
-//!   scheduler noise; the margin is real but modest — the portable lanes
-//!   target the SSE2 baseline, see DESIGN.md §17);
+//! * the **host lane**: the same scenario re-run on NativeSimd must
+//!   perform exactly the same real integrand work (deterministic, gates)
+//!   and beat TracedSimt's potentials stage on host wall-clock (large
+//!   margin — the traced path carries a whole simulated memory system);
 //! * the **SoA stage microbench**: the vectorized deposit + gather + push
 //!   pipeline must hold a ≥1.25× win over the scalar stage path on the
 //!   canonical particle load (measured 1.4–1.7× on the reference box).
@@ -129,23 +125,6 @@ fn canonical_run(pool: &ThreadPool, kernel: KernelKind, backend: BackendKind) ->
         .map(|h| h.sum())
         .unwrap_or(0.0);
     (host_ns, evals, replays)
-}
-
-/// Best (minimum) potentials host time over two runs, plus the counters
-/// (which are identical across runs — asserted cheaply here).
-fn canonical_best_of_2(
-    pool: &ThreadPool,
-    kernel: KernelKind,
-    backend: BackendKind,
-) -> (f64, u64, u64) {
-    let (a_ns, a_e, a_r) = canonical_run(pool, kernel, backend);
-    let (b_ns, b_e, b_r) = canonical_run(pool, kernel, backend);
-    assert_eq!(
-        (a_e, a_r),
-        (b_e, b_r),
-        "integrand counters must be run-to-run deterministic"
-    );
-    (a_ns.min(b_ns), a_e, a_r)
 }
 
 /// Gates the SoA deposit + gather + push pipeline against the scalar stage
@@ -281,49 +260,15 @@ fn main() -> ExitCode {
             ok = false;
         }
 
-        // NativeFast lane: identical real integrand work, less host time.
-        let (native_ns, native_evals, native_replays) =
-            canonical_run(&pool, kernel, BackendKind::NativeFast);
+        // NativeSimd lane: identical real integrand work, less host time.
+        let (simd_ns, simd_evals, simd_replays) =
+            canonical_run(&pool, kernel, BackendKind::NativeSimd);
         println!(
-            "{}: potentials host time traced {:.1} ms vs native {:.1} ms ({:.1}x)",
+            "{}: potentials host time traced {:.1} ms vs simd {:.1} ms ({:.1}x)",
             kernel_name(kernel),
             traced_ns / 1e6,
-            native_ns / 1e6,
-            traced_ns / native_ns.max(1.0),
-        );
-        if (native_evals, native_replays) != (evals, replays) {
-            eprintln!(
-                "{}: native backend changed the integrand work: evals {evals} -> {native_evals}, \
-                 replays {replays} -> {native_replays} — the backends have diverged",
-                kernel_name(kernel)
-            );
-            ok = false;
-        }
-        if native_ns >= traced_ns {
-            eprintln!(
-                "{}: NativeFast potentials host time {:.1} ms is not below TracedSimt {:.1} ms \
-                 — the native path has lost its reason to exist",
-                kernel_name(kernel),
-                native_ns / 1e6,
-                traced_ns / 1e6,
-            );
-            ok = false;
-        }
-
-        // NativeSimd lane: identical real integrand work (deterministic,
-        // gates on every kernel); the wall-clock win over NativeFast gates
-        // on the canonical Two-Phase run only — min-of-two runs per backend,
-        // and the other kernels stay informational, because the margin is
-        // modest by design (portable SSE2-baseline lanes, DESIGN.md §17).
-        let (fast2_ns, _, _) = canonical_best_of_2(&pool, kernel, BackendKind::NativeFast);
-        let (simd_ns, simd_evals, simd_replays) =
-            canonical_best_of_2(&pool, kernel, BackendKind::NativeSimd);
-        println!(
-            "{}: potentials host time fast {:.1} ms vs simd {:.1} ms ({:.2}x)",
-            kernel_name(kernel),
-            fast2_ns / 1e6,
             simd_ns / 1e6,
-            fast2_ns / simd_ns.max(1.0),
+            traced_ns / simd_ns.max(1.0),
         );
         if (simd_evals, simd_replays) != (evals, replays) {
             eprintln!(
@@ -333,13 +278,13 @@ fn main() -> ExitCode {
             );
             ok = false;
         }
-        if kernel == KernelKind::TwoPhase && simd_ns >= fast2_ns {
+        if simd_ns >= traced_ns {
             eprintln!(
-                "{}: NativeSimd potentials host time {:.1} ms is not below NativeFast {:.1} ms \
-                 — the vectorized quadrature has lost its edge",
+                "{}: NativeSimd potentials host time {:.1} ms is not below TracedSimt {:.1} ms \
+                 — the host lane has lost its reason to exist",
                 kernel_name(kernel),
                 simd_ns / 1e6,
-                fast2_ns / 1e6,
+                traced_ns / 1e6,
             );
             ok = false;
         }

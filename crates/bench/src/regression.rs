@@ -263,10 +263,9 @@ pub fn compare(baseline: &MetricSet, current: &MetricSet) -> Vec<Violation> {
 /// per kernel (the quality histograms are cumulative), leaving the last
 /// kernel's registry state in place for callers that export it.
 ///
-/// All three compute backends run: the traced lane carries the full
-/// simulated machine metrics; the host lanes (`<kernel>.native.`,
-/// `<kernel>.simd.`) pin the backend-independent execution facts — see the
-/// lane loop below.
+/// Both compute backends run: the traced lane carries the full simulated
+/// machine metrics; the host lane (`<kernel>.simd.`) pins the
+/// backend-independent execution facts — see the lane loop below.
 pub fn run_canonical(pool: &ThreadPool) -> MetricSet {
     let mut set = MetricSet::default();
     for kernel in [
@@ -334,43 +333,36 @@ pub fn run_canonical(pool: &ThreadPool) -> MetricSet {
             }
         }
     }
-    // Host lanes: `<kernel>.native.` (scalar NativeFast) and
-    // `<kernel>.simd.` (NativeSimd). Both pin the backend-independent
-    // execution facts — fallback volume, launches, real integrand work —
-    // which must track the traced lane exactly (bit-identity for native,
-    // the ULP-bounded contract with exactly equal counts for simd), plus
-    // their own loose host-time gates.
-    for (backend, lane) in [
-        (BackendKind::NativeFast, "native"),
-        (BackendKind::NativeSimd, "simd"),
+    // Host lane: `<kernel>.simd.` (NativeSimd) pins the
+    // backend-independent execution facts — fallback volume, launches, real
+    // integrand work — which must track the traced lane exactly (the
+    // contract keeps every count equal), plus its own loose host-time gate.
+    for kernel in [
+        KernelKind::TwoPhase,
+        KernelKind::Heuristic,
+        KernelKind::Predictive,
     ] {
-        for kernel in [
-            KernelKind::TwoPhase,
-            KernelKind::Heuristic,
-            KernelKind::Predictive,
-        ] {
-            obs::reset();
-            let mut workload = standard_workload(scenario::RESOLUTION, scenario::PARTICLES, kernel);
-            workload.config.backend = backend;
-            let telemetry = run_steps(pool, workload, scenario::STEPS);
-            let prefix = format!("{}.{lane}", kernel_name(kernel));
+        obs::reset();
+        let mut workload = standard_workload(scenario::RESOLUTION, scenario::PARTICLES, kernel);
+        workload.config.backend = BackendKind::NativeSimd;
+        let telemetry = run_steps(pool, workload, scenario::STEPS);
+        let prefix = format!("{}.simd", kernel_name(kernel));
 
-            let fallback: usize = telemetry.iter().map(|t| t.potentials.fallback_cells).sum();
-            let launches: usize = telemetry.iter().map(|t| t.potentials.launches).sum();
-            set.insert(format!("{prefix}.fallback_cells"), fallback as f64);
-            set.insert(format!("{prefix}.launches"), launches as f64);
-            for counter in ["quad.integrand_evals", "quad.integrand_replays"] {
-                if let Some(v) = obs::counter_value(counter) {
-                    set.insert(format!("{prefix}.{counter}"), v as f64);
-                }
+        let fallback: usize = telemetry.iter().map(|t| t.potentials.fallback_cells).sum();
+        let launches: usize = telemetry.iter().map(|t| t.potentials.launches).sum();
+        set.insert(format!("{prefix}.fallback_cells"), fallback as f64);
+        set.insert(format!("{prefix}.launches"), launches as f64);
+        for counter in ["quad.integrand_evals", "quad.integrand_replays"] {
+            if let Some(v) = obs::counter_value(counter) {
+                set.insert(format!("{prefix}.{counter}"), v as f64);
             }
-            let snap = obs::snapshot();
-            if let Some(h) = snap.histogram("stage.potentials_ns") {
-                set.insert(format!("{prefix}.stage.potentials_host_ns"), h.sum());
-            }
-            if let Some(v) = obs::gauge_value("workspace.bytes_resident") {
-                set.insert(format!("{prefix}.workspace.bytes_resident"), v);
-            }
+        }
+        let snap = obs::snapshot();
+        if let Some(h) = snap.histogram("stage.potentials_ns") {
+            set.insert(format!("{prefix}.stage.potentials_host_ns"), h.sum());
+        }
+        if let Some(v) = obs::gauge_value("workspace.bytes_resident") {
+            set.insert(format!("{prefix}.workspace.bytes_resident"), v);
         }
     }
 
@@ -405,7 +397,7 @@ pub fn run_canonical(pool: &ThreadPool) -> MetricSet {
             KernelKind::Heuristic,
             KernelKind::Predictive,
         ] {
-            for backend in [BackendKind::TracedSimt, BackendKind::NativeFast] {
+            for backend in [BackendKind::TracedSimt, BackendKind::NativeSimd] {
                 let spec = ScenarioSpec {
                     kernel,
                     backend: Some(backend),

@@ -1,45 +1,30 @@
-//! Pluggable compute backends: how the planned kernel launches actually
-//! execute.
+//! Compute backends: how the planned kernel launches actually execute.
 //!
 //! The three [`PotentialsKernel`](crate::kernels::PotentialsKernel)
 //! strategies only *plan* — every launch happens inside the shared engine
-//! ([`compute_potentials`](crate::kernels::compute_potentials)), which makes
-//! that engine the single seam where execution strategy can be swapped:
+//! ([`compute_potentials`](crate::kernels::compute_potentials)), and the
+//! engine's two launch shapes (`kernels::threads::{run_fixed,
+//! run_adaptive}`) match on the [`BackendKind`] to pick one of two lanes:
 //!
-//! * [`TracedSimt`] — the reference path. Each lane records its op stream,
-//!   a warp-lockstep replayer simulates the device (coalescing, L1/L2,
-//!   occupancy), and every simulated machine metric the paper profiles is
-//!   produced.
-//! * [`NativeFast`] — the answers-only path. The *same* lane bodies run to
-//!   retirement as plain indexed parallel work, with all tracing
-//!   monomorphized away; simulated metrics come back zero. Per-lane
-//!   arithmetic, the seeded-Simpson plans, the CSR cell lists, and the
-//!   pooled [`LaneScratchArena`] are all shared with the traced path, so
-//!   the potentials are **bit-identical** — `tests/backend_equivalence.rs`
-//!   is the differential harness pinning that contract.
-//! * [`NativeSimd`] — the data-parallel path. The same lane bodies again,
-//!   but fresh integrand evaluations take the vectorized stencil gather
-//!   and the driver runs the whole particle pipeline (deposit, gather,
-//!   push) over an SoA scratch in 4-wide lane blocks. Control flow and
-//!   operation counts stay exactly equal to the other backends; produced
-//!   *values* differ from them by the documented fixed-order SIMD
-//!   reassociation — deterministic (bit-identical across pool widths and
-//!   runs) but held to a ≤4 ulp per-cell bound rather than bit identity.
-//!   See DESIGN.md §17 for the full contract.
+//! * [`BackendKind::TracedSimt`] — the reference path. Each lane records
+//!   its op stream, a warp-lockstep replayer simulates the device
+//!   (coalescing, L1/L2, occupancy), and every simulated machine metric the
+//!   paper profiles is produced.
+//! * [`BackendKind::NativeSimd`] — the answers-only host path. The *same*
+//!   lane bodies run to retirement as plain indexed parallel work with all
+//!   tracing monomorphized away, fresh integrand evaluations take the
+//!   vectorized stencil gather, and the driver runs the whole particle
+//!   pipeline (deposit, gather, push) over an SoA scratch in 4-wide lane
+//!   blocks. Control flow and operation counts stay exactly equal to the
+//!   traced lane; produced *values* differ from it by the documented
+//!   fixed-order SIMD reassociation — deterministic (bit-identical across
+//!   pool widths and runs) but not bit-identical to traced. Simulated
+//!   metrics come back zero. See DESIGN.md §17 for the full contract.
 //!
 //! Selection is per-run: [`SimulationConfig::backend`]
 //! (crate::driver::SimulationConfig::backend) defaults from the
 //! `BEAMDYN_BACKEND` environment variable (`traced` unless told otherwise),
 //! and the daemon/bench surfaces expose explicit flags that override it.
-
-use beamdyn_simt::LaunchOutput;
-
-use crate::kernels::threads::{self, ThreadResult};
-use crate::kernels::{FallbackTask, RpProblem};
-use crate::workspace::{AdaptiveScratch, CellLists, FixedLaneScratch, LaneScratchArena};
-
-/// Per-point `(x, y, radius)` lookup both launch shapes share.
-pub type PointXyr<'a> = &'a (dyn Fn(u32) -> (f64, f64, f64) + Sync);
 
 /// Which compute backend executes the planned launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,21 +33,19 @@ pub enum BackendKind {
     /// machine metrics.
     #[default]
     TracedSimt,
-    /// Host-speed path: identical numerics, zero simulated metrics.
-    NativeFast,
-    /// SIMD host path: 4-wide lane blocks, fixed-order reductions,
-    /// ≤4 ulp from the scalar backends, zero simulated metrics.
+    /// SIMD host path: 4-wide lane blocks, fixed-order reductions, the
+    /// traced lane's control flow and counts, zero simulated metrics.
     NativeSimd,
 }
 
 impl BackendKind {
     /// Parses a backend name as accepted by `BEAMDYN_BACKEND` and the
-    /// `--backend` flags.
+    /// `--backend` flags. `native`, `native-fast` and `fast` name the one
+    /// host lane, NativeSimd.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "traced" | "traced-simt" | "simt" => Some(Self::TracedSimt),
-            "native" | "native-fast" | "fast" => Some(Self::NativeFast),
-            "native-simd" | "simd" => Some(Self::NativeSimd),
+            "native-simd" | "simd" | "native" | "native-fast" | "fast" => Some(Self::NativeSimd),
             _ => None,
         }
     }
@@ -111,181 +94,18 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             Self::TracedSimt => "traced-simt",
-            Self::NativeFast => "native-fast",
             Self::NativeSimd => "native-simd",
         }
     }
 
-    /// SIMD lane width of the backend's hot loops: 1 for the scalar
-    /// backends, [`beamdyn_par::simd::LANE_WIDTH`] for [`NativeSimd`].
+    /// SIMD lane width of the backend's hot loops: 1 for the traced lane,
+    /// [`beamdyn_par::simd::LANE_WIDTH`] for [`BackendKind::NativeSimd`].
     /// Surfaced in `/status` and the daemon banner.
     pub fn lane_width(self) -> usize {
         match self {
-            Self::TracedSimt | Self::NativeFast => 1,
+            Self::TracedSimt => 1,
             Self::NativeSimd => beamdyn_par::simd::LANE_WIDTH,
         }
-    }
-}
-
-/// A kernel-execution strategy: runs the engine's two launch shapes (the
-/// uniform fixed-cells main pass and the adaptive fallback) over the
-/// workspace's prepared buffers.
-///
-/// Implementations must preserve the engine's result contract:
-/// `results[tid]` holds lane `tid`'s outcome (padding lanes `None`), so the
-/// per-point accumulation order downstream — and with it every produced
-/// bit — is backend-independent.
-pub trait ComputeBackend: Send + Sync {
-    /// Which selector this backend answers to.
-    fn kind(&self) -> BackendKind;
-
-    /// Canonical backend name (mirrors [`BackendKind::name`]).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Runs the planned fixed-cells main pass. `scratch` is prepared for
-    /// `cells`; `threads_per_block` is the plan's block shape (advisory for
-    /// backends with no blocks).
-    fn run_fixed<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        threads_per_block: usize,
-        cells: &CellLists,
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-    ) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>>;
-
-    /// Runs the adaptive pass, one lane per task. `scratch` is prepared for
-    /// `tasks.len()` lanes.
-    #[allow(clippy::mut_from_ref)] // the `&mut` slots come from the arena's claim contract
-    fn run_adaptive<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        threads_per_block: usize,
-        tasks: &[FallbackTask],
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-        min_depth: u32,
-    ) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>>;
-}
-
-/// The reference backend: simulated-device launches with full tracing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TracedSimt;
-
-impl ComputeBackend for TracedSimt {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TracedSimt
-    }
-
-    fn run_fixed<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        threads_per_block: usize,
-        cells: &CellLists,
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-    ) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
-        threads::launch_fixed(problem, threads_per_block, cells, scratch, point_xyr)
-    }
-
-    fn run_adaptive<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        threads_per_block: usize,
-        tasks: &[FallbackTask],
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-        min_depth: u32,
-    ) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
-        threads::launch_adaptive(
-            problem,
-            threads_per_block,
-            tasks,
-            scratch,
-            point_xyr,
-            min_depth,
-        )
-    }
-}
-
-/// The answers-only backend: identical lane bodies, no simulated device.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NativeFast;
-
-impl ComputeBackend for NativeFast {
-    fn kind(&self) -> BackendKind {
-        BackendKind::NativeFast
-    }
-
-    fn run_fixed<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        _threads_per_block: usize,
-        cells: &CellLists,
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-    ) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
-        threads::native_fixed(problem, cells, scratch, point_xyr)
-    }
-
-    fn run_adaptive<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        _threads_per_block: usize,
-        tasks: &[FallbackTask],
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-        min_depth: u32,
-    ) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
-        threads::native_adaptive(problem, tasks, scratch, point_xyr, min_depth)
-    }
-}
-
-/// The SIMD backend: same lane bodies, vectorized fresh evaluations, no
-/// simulated device. Quadrature control flow is shared with [`NativeFast`]
-/// by construction; the SoA particle pipeline is selected by the driver
-/// from [`BackendKind::NativeSimd`] (the backend object only covers the
-/// two launch shapes).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NativeSimd;
-
-impl ComputeBackend for NativeSimd {
-    fn kind(&self) -> BackendKind {
-        BackendKind::NativeSimd
-    }
-
-    fn run_fixed<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        _threads_per_block: usize,
-        cells: &CellLists,
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-    ) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
-        threads::simd_fixed(problem, cells, scratch, point_xyr)
-    }
-
-    fn run_adaptive<'w>(
-        &self,
-        problem: &RpProblem<'_>,
-        _threads_per_block: usize,
-        tasks: &[FallbackTask],
-        scratch: &'w LaneScratchArena,
-        point_xyr: PointXyr<'_>,
-        min_depth: u32,
-    ) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
-        threads::simd_adaptive(problem, tasks, scratch, point_xyr, min_depth)
-    }
-}
-
-/// Builds the backend object a [`BackendKind`] selects.
-pub fn build_backend(kind: BackendKind) -> Box<dyn ComputeBackend> {
-    match kind {
-        BackendKind::TracedSimt => Box::new(TracedSimt),
-        BackendKind::NativeFast => Box::new(NativeFast),
-        BackendKind::NativeSimd => Box::new(NativeSimd),
     }
 }
 
@@ -298,10 +118,7 @@ mod tests {
         for s in ["traced", "traced-simt", "simt"] {
             assert_eq!(BackendKind::parse(s), Some(BackendKind::TracedSimt));
         }
-        for s in ["native", "native-fast", "fast"] {
-            assert_eq!(BackendKind::parse(s), Some(BackendKind::NativeFast));
-        }
-        for s in ["native-simd", "simd"] {
+        for s in ["native-simd", "simd", "native", "native-fast", "fast"] {
             assert_eq!(BackendKind::parse(s), Some(BackendKind::NativeSimd));
         }
         assert_eq!(BackendKind::parse("cuda"), None);
@@ -310,21 +127,17 @@ mod tests {
 
     #[test]
     fn names_roundtrip_through_parse() {
-        for kind in [
-            BackendKind::TracedSimt,
-            BackendKind::NativeFast,
-            BackendKind::NativeSimd,
-        ] {
+        for s in BackendKind::accepted_values() {
+            assert!(BackendKind::parse(s).is_some(), "{s}");
+        }
+        for kind in [BackendKind::TracedSimt, BackendKind::NativeSimd] {
             assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-            assert_eq!(build_backend(kind).kind(), kind);
-            assert_eq!(build_backend(kind).name(), kind.name());
         }
     }
 
     #[test]
     fn lane_widths_reflect_vectorization() {
         assert_eq!(BackendKind::TracedSimt.lane_width(), 1);
-        assert_eq!(BackendKind::NativeFast.lane_width(), 1);
         assert_eq!(
             BackendKind::NativeSimd.lane_width(),
             beamdyn_par::simd::LANE_WIDTH

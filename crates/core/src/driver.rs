@@ -9,7 +9,7 @@
 //!
 //! * [`SimCore`] owns everything a simulation **is** — config, beam,
 //!   grid history, step counter, the [`PotentialsKernel`] object
-//!   (strategy + learning state), the compute backend, and the last
+//!   (strategy + learning state), the compute backend kind, and the last
 //!   potentials field. It is `Send` and borrows nothing, so a
 //!   [`SessionManager`](crate::session::SessionManager) can hold many and
 //!   move them between scheduler threads.
@@ -40,7 +40,7 @@ use beamdyn_pic::{
 };
 use beamdyn_simt::{DeviceConfig, SimTime};
 
-use crate::backend::{build_backend, BackendKind, ComputeBackend};
+use crate::backend::BackendKind;
 use crate::kernels::predictive::TransformKind;
 use crate::kernels::{build_kernel, PotentialsKernel, PotentialsOutput, RpProblem};
 use crate::layout::DeviceLayout;
@@ -79,7 +79,8 @@ pub struct SimulationConfig {
     /// Kernel selection.
     pub kernel: KernelKind,
     /// Compute backend executing the planned launches (traced simulated GPU
-    /// vs. native host loops — identical numerics either way).
+    /// vs. the SIMD host lane — the same control flow and counts either
+    /// way).
     pub backend: BackendKind,
     /// Predictor backing Predictive-RP (ignored by the baselines).
     pub predictor: PredictorKind,
@@ -156,9 +157,10 @@ impl StepTelemetry {
     }
 }
 
-/// Everything a simulation *owns* across steps: configuration, particle
-/// state, grid history, the kernel's learning state, and the compute
-/// backend. Borrows nothing — `Send`, storable, schedulable.
+/// Everything a simulation *owns* across steps: configuration (the
+/// compute backend kind included), particle state, grid history, and the
+/// kernel's learning state. Borrows nothing — `Send`, storable,
+/// schedulable.
 ///
 /// Per-step resources (thread pool, device model, workspace) are borrowed
 /// by [`SimCore::run_step`], so the same core runs identically whether it
@@ -173,8 +175,6 @@ pub struct SimCore {
     step: usize,
     /// The potentials strategy — the only kernel state the core holds.
     kernel: Box<dyn PotentialsKernel>,
-    /// How planned launches execute (traced simulated GPU or native host).
-    backend: Box<dyn ComputeBackend>,
     /// Potential field of the last completed step.
     last_potentials: Option<ScalarField>,
 }
@@ -195,14 +195,12 @@ impl SimCore {
         kernel: Box<dyn PotentialsKernel>,
     ) -> Self {
         let history = GridHistory::new(config.geometry, config.rp.kappa + 3);
-        let backend = build_backend(config.backend);
         Self {
             config,
             beam,
             history,
             step: 0,
             kernel,
-            backend,
             last_potentials: None,
         }
     }
@@ -240,7 +238,7 @@ impl SimCore {
 
     /// The active compute backend's name.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.config.backend.name()
     }
 
     /// Executes one full time step over borrowed step resources; returns
@@ -264,7 +262,7 @@ impl SimCore {
         // The SIMD backend runs the particle pipeline over the workspace's
         // pooled SoA scratch: copied from the beam in parallel here, pushed
         // in place, written back to the beam inside the push pass.
-        let simd = self.backend.kind() == BackendKind::NativeSimd;
+        let simd = self.config.backend == BackendKind::NativeSimd;
         // --- 1. Particle deposition ---
         let deposit_span = obs::span!("deposit");
         let mut grid = workspace.take_grid(self.config.geometry);
@@ -378,7 +376,7 @@ impl SimCore {
         };
         crate::kernels::compute_potentials(
             self.kernel.as_mut(),
-            self.backend.as_ref(),
+            self.config.backend,
             &problem,
             workspace,
         )

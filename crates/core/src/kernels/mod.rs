@@ -27,7 +27,7 @@ use beamdyn_pic::{GridGeometry, GridHistory};
 use beamdyn_quad::{Partition, SimpsonSeed};
 use beamdyn_simt::{DeviceConfig, KernelStats, SimTime};
 
-use crate::backend::{BackendKind, ComputeBackend};
+use crate::backend::BackendKind;
 use crate::driver::{KernelKind, SimulationConfig};
 use crate::layout::DeviceLayout;
 use crate::points::{build_points, GridPoint};
@@ -280,12 +280,12 @@ impl StepObservation<'_> {
 
 /// `COMPUTE-POTENTIALS`: the shared engine. Builds the step's point set,
 /// has the kernel plan its lane assignments, runs the uniform main pass and
-/// the adaptive fallback over the workspace's buffers — through the
-/// selected [`ComputeBackend`] — finalizes the observed
+/// the adaptive fallback over the workspace's buffers — on the selected
+/// [`BackendKind`] — finalizes the observed
 /// patterns/partitions, and gives the kernel its learning pass.
 pub fn compute_potentials(
     kernel: &mut dyn PotentialsKernel,
-    backend: &dyn ComputeBackend,
+    backend: BackendKind,
     problem: &RpProblem<'_>,
     ws: &mut StepWorkspace,
 ) -> PotentialsOutput {
@@ -347,7 +347,7 @@ struct ExecOutcome {
 /// backend; everything around them (scratch preparation, result folding,
 /// fallback accounting) is backend-independent by construction.
 fn execute_plan(
-    backend: &dyn ComputeBackend,
+    backend: BackendKind,
     problem: &RpProblem<'_>,
     points: &mut [GridPoint],
     plan: &ExecutionPlan,
@@ -364,7 +364,8 @@ fn execute_plan(
             let p = &pts[i as usize];
             (p.x, p.y, p.radius)
         };
-        backend.run_fixed(
+        threads::run_fixed(
+            backend,
             problem,
             plan.threads_per_block,
             &ws.cells,
@@ -379,9 +380,9 @@ fn execute_plan(
         stats: main_stats,
     } = main;
     // Simulated device time exists only when the backend actually traced
-    // the launches; charging the fixed launch overhead for NativeFast would
+    // the launches; charging the fixed launch overhead for NativeSimd would
     // report phantom gpu_time for a machine that was never modeled.
-    let simulates = backend.kind() == BackendKind::TracedSimt;
+    let simulates = backend == BackendKind::TracedSimt;
     let mut gpu_time = if simulates {
         main_stats.timing(problem.device).total_time()
     } else {
@@ -415,7 +416,8 @@ fn execute_plan(
                 let p = &pts[i as usize];
                 (p.x, p.y, p.radius)
             };
-            backend.run_adaptive(
+            threads::run_adaptive(
+                backend,
                 problem,
                 plan.fallback_tpb,
                 &ws.tasks,

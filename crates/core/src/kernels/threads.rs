@@ -1,13 +1,17 @@
-//! SIMT thread bodies shared by all three kernels.
+//! SIMT thread bodies shared by all three kernels, and the one driver that
+//! runs them on either compute backend.
 
-use beamdyn_beam::{GridRp, NullSink, TapSink};
+use beamdyn_beam::{GridRp, TapSink};
 use beamdyn_obs::Counter;
 use beamdyn_quad::{simpson_estimate_seeded, SeededEstimate, SimpsonSeed};
 use beamdyn_simt::{launch, KernelStats, LaunchConfig, LaunchOutput, OpRecorder, WarpThread};
 
 use super::{FallbackTask, RpProblem};
+use crate::backend::BackendKind;
 use crate::layout::DeviceLayout;
-use crate::workspace::{AdaptiveScratch, FailedFixedCell, FixedLaneScratch, LaneScratchArena};
+use crate::workspace::{
+    AdaptiveScratch, CellLists, FailedFixedCell, FixedLaneScratch, LaneScratchArena,
+};
 
 /// Host-side integrand evaluations actually performed (each one runs the
 /// full angular gather). Sample-reusing quadrature exists to push this down;
@@ -56,8 +60,8 @@ impl TapSink for TraceSink<'_> {
 /// whose *implementation* is what distinguishes the compute backends — how
 /// one Simpson abscissa is evaluated and what a lane's retirement store
 /// does. The thread bodies are generic over it, so TracedSimt and
-/// NativeFast run the exact same per-lane arithmetic in the exact same
-/// order (the bit-identity contract of `tests/backend_equivalence.rs`).
+/// NativeSimd run the exact same per-lane control flow in the exact same
+/// order (the count-equality contract of `tests/backend_equivalence.rs`).
 pub(crate) trait LaneSink: TapSink {
     /// Final accumulate + output store at lane retirement.
     fn store_output(&mut self, addr: u64);
@@ -91,36 +95,15 @@ impl LaneSink for TraceSink<'_> {
     }
 }
 
-/// NativeFast: [`NullSink`] *is* the native lane sink — every tap and store
-/// is a monomorphized no-op, a cached abscissa skips even the charge
-/// replay, and a fresh abscissa runs the bare gather arithmetic. The
-/// integrand-reuse counters still tick: real host evaluations are a
-/// backend-independent fact (perf_smoke pins them equal across backends).
-impl LaneSink for NullSink {
-    #[inline]
-    fn store_output(&mut self, _addr: u64) {}
-    #[inline]
-    fn integrand(&mut self, rp: &GridRp<'_>, x: f64, y: f64, r: f64, known: Option<f64>) -> f64 {
-        match known {
-            Some(v) => {
-                INTEGRAND_REPLAYS.incr();
-                v
-            }
-            None => {
-                INTEGRAND_EVALS.incr();
-                rp.eval(x, y, r, self)
-            }
-        }
-    }
-}
-
-/// NativeSimd: an answers-only sink like [`NullSink`], with two twists.
+/// NativeSimd: an answers-only sink — every tap and store is a
+/// monomorphized no-op and a cached abscissa skips even the charge replay.
 /// Fresh abscissae run the vectorized gather ([`GridRp::eval_simd`]) —
 /// 4-lane stencil rows, hoisted per-call setup — and the integrand-reuse
 /// counters accumulate locally, flushed once per lane retirement instead
 /// of one shared-cacheline `fetch_add` per abscissa (a measurable
-/// contention cost with several workers). Totals are exactly equal either
-/// way; perf_smoke and the bench baseline pin them across all backends.
+/// contention cost with several workers). Totals are exactly equal to the
+/// traced lane's; perf_smoke and the bench baseline pin them across both
+/// backends.
 #[derive(Debug, Default)]
 pub(crate) struct SimdSink {
     evals: u64,
@@ -276,28 +259,16 @@ impl<'rp, 'w> FixedCellsThread<'rp, 'w> {
             },
         }
     }
+}
 
-    /// Consumes the thread after retirement.
-    pub fn into_result(self) -> ThreadResult<FixedLaneScratch<'w>> {
+impl<'w> Lane for FixedCellsThread<'_, 'w> {
+    type Output = ThreadResult<FixedLaneScratch<'w>>;
+
+    fn into_result(self) -> Self::Output {
         self.result
     }
 
-    /// Runs the lane to retirement with no lockstep scheduler: the same
-    /// cells, the same seeded Simpson applications, the same accumulation
-    /// order as the traced replay — with all tracing compiled out.
-    pub(crate) fn run_native(&mut self) {
-        self.run_to_retirement(&mut NullSink);
-    }
-
-    /// Runs the lane to retirement through an arbitrary sink — the shared
-    /// schedulerless driver behind the NativeFast and NativeSimd backends
-    /// (the traced backend steps lanes through the warp scheduler instead).
-    pub(crate) fn run_to_retirement<S: LaneSink>(&mut self, sink: &mut S) {
-        while self.step_with(sink) {}
-    }
-
-    /// One cell (or the retirement store) through the given sink; the
-    /// shared body behind all backends.
+    /// One cell (or the retirement store) through the given sink.
     fn step_with<S: LaneSink>(&mut self, sink: &mut S) -> bool {
         if self.next >= self.cells.len() {
             if !self.stored {
@@ -420,22 +391,13 @@ impl<'rp, 'w> AdaptiveThread<'rp, 'w> {
             },
         }
     }
+}
 
-    /// Consumes the thread after retirement.
-    pub fn into_result(self) -> ThreadResult<&'w mut AdaptiveScratch> {
+impl<'w> Lane for AdaptiveThread<'_, 'w> {
+    type Output = ThreadResult<&'w mut AdaptiveScratch>;
+
+    fn into_result(self) -> Self::Output {
         self.result
-    }
-
-    /// Runs the lane's whole subdivision worklist with no lockstep
-    /// scheduler; see [`FixedCellsThread::run_native`].
-    pub(crate) fn run_native(&mut self) {
-        self.run_to_retirement(&mut NullSink);
-    }
-
-    /// Runs the lane to retirement through an arbitrary sink; see
-    /// [`FixedCellsThread::run_to_retirement`].
-    pub(crate) fn run_to_retirement<S: LaneSink>(&mut self, sink: &mut S) {
-        while self.step_with(sink) {}
     }
 
     /// One worklist item (or the retirement store) through the given sink.
@@ -493,122 +455,93 @@ impl WarpThread for AdaptiveThread<'_, '_> {
     }
 }
 
-/// Launches the fixed-cells (uniform) kernel over the planned lane
+/// Per-point `(x, y, radius)` lookup both launch shapes share.
+pub(crate) type PointXyr<'a> = &'a (dyn Fn(u32) -> (f64, f64, f64) + Sync);
+
+/// A lane body both backends drive: the traced launch steps it through the
+/// warp scheduler ([`WarpThread`] with a [`TraceSink`]), the NativeSimd
+/// driver runs it to retirement through a [`SimdSink`].
+trait Lane: WarpThread {
+    /// What the retired lane hands back to the engine.
+    type Output: Send;
+    /// One unit of lane work through `sink`; `false` once retired.
+    fn step_with<S: LaneSink>(&mut self, sink: &mut S) -> bool;
+    /// Consumes the thread after retirement.
+    fn into_result(self) -> Self::Output;
+}
+
+/// Runs one launch of `lanes` threads, built by `lane(tid)`, on `kind`'s
+/// lane.
+///
+/// * TracedSimt — the simulated-device launch: blocks of
+///   `threads_per_block`, warp-lockstep replay, op recording, full
+///   [`KernelStats`].
+/// * NativeSimd — the same threads run to retirement as plain indexed
+///   parallel work: no block placement, no warp lockstep, no op recording.
+///   `threads_per_block` is unused and the stats are zero (every derived
+///   [`KernelStats`] rate degrades to 0 safely).
+///
+/// `results[tid]` holds lane `tid`'s outcome either way (the simulated
+/// launch only *appends* `None` padding slots past `lanes`), and both
+/// drivers write disjoint slots deterministically, so the engine's per-point
+/// fold sees the same order on both backends at any pool width.
+fn drive<T: Lane>(
+    kind: BackendKind,
+    problem: &RpProblem<'_>,
+    threads_per_block: usize,
+    lanes: usize,
+    lane: impl Fn(usize) -> Option<T> + Sync,
+) -> LaunchOutput<T::Output> {
+    match kind {
+        BackendKind::TracedSimt => {
+            let tpb = threads_per_block.clamp(1, problem.device.max_threads_per_block);
+            launch(
+                problem.pool,
+                problem.device,
+                LaunchConfig {
+                    blocks: lanes.div_ceil(tpb).max(1),
+                    threads_per_block: tpb,
+                },
+                lane,
+                T::into_result,
+            )
+        }
+        BackendKind::NativeSimd => LaunchOutput {
+            results: problem.pool.parallel_map_indexed(lanes, |tid| {
+                let mut thread = lane(tid)?;
+                let mut sink = SimdSink::default();
+                while thread.step_with(&mut sink) {}
+                sink.flush();
+                Some(thread.into_result())
+            }),
+            stats: KernelStats::default(),
+        },
+    }
+}
+
+/// Runs the fixed-cells (uniform) main pass over the planned lane
 /// assignments.
 ///
-/// `cells.lane(tid)` gives each simulated thread its point and a borrowed
-/// slice of the packed cell buffer; padding lanes get no thread. `scratch`
-/// must be [`LaneScratchArena::prepare`]d for at least `cells.len()` lanes.
-pub fn launch_fixed<'w>(
+/// `cells.lane(tid)` gives each thread its point and a borrowed slice of
+/// the packed cell buffer; padding lanes get no thread. `scratch` must be
+/// prepared for `cells`.
+pub(crate) fn run_fixed<'w>(
+    kind: BackendKind,
     problem: &RpProblem<'_>,
     threads_per_block: usize,
-    cells: &crate::workspace::CellLists,
+    cells: &CellLists,
     scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
+    point_xyr: PointXyr<'_>,
 ) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
     let rp = problem.integrand();
-    let tpb = threads_per_block.clamp(1, problem.device.max_threads_per_block);
-    let blocks = cells.len().div_ceil(tpb).max(1);
-    launch(
-        problem.pool,
-        problem.device,
-        LaunchConfig {
-            blocks,
-            threads_per_block: tpb,
-        },
-        |tid| {
-            let (point, lane_cells) = cells.lane(tid)?;
-            let (x, y, radius) = point_xyr(point);
-            // SAFETY: the launch layer materialises each `tid` exactly once
-            // per launch and `tid` is a lane of the `cells` the arena was
-            // prepared for, so each region is claimed by exactly one lane.
-            let slot = unsafe { scratch.claim_fixed(tid) };
-            Some(FixedCellsThread::new(
-                &rp,
-                problem.layout,
-                point,
-                x,
-                y,
-                radius,
-                lane_cells,
-                problem.tolerance,
-                slot,
-            ))
-        },
-        FixedCellsThread::into_result,
-    )
-}
-
-/// Launches the adaptive kernel, one thread per task (the paper maps the
-/// global list `L` to threads one-to-one). `scratch` must be prepared for
-/// at least `tasks.len()` lanes.
-#[allow(clippy::mut_from_ref)] // the `&mut` slots come from the arena's claim contract
-pub fn launch_adaptive<'w>(
-    problem: &RpProblem<'_>,
-    threads_per_block: usize,
-    tasks: &[FallbackTask],
-    scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
-    min_depth: u32,
-) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
-    let rp = problem.integrand();
-    let tpb = threads_per_block.clamp(1, problem.device.max_threads_per_block);
-    let blocks = tasks.len().div_ceil(tpb).max(1);
-    launch(
-        problem.pool,
-        problem.device,
-        LaunchConfig {
-            blocks,
-            threads_per_block: tpb,
-        },
-        |tid| {
-            let task = tasks.get(tid)?;
-            let (x, y, _) = point_xyr(task.point);
-            // SAFETY: one claim per materialised `tid`; `tid < tasks.len()`
-            // (prepared size).
-            let slot = unsafe { scratch.claim_adaptive(tid) };
-            Some(AdaptiveThread::new(
-                &rp,
-                problem.layout,
-                task.point,
-                x,
-                y,
-                task.a,
-                task.b,
-                task.tolerance,
-                task.seed,
-                min_depth,
-                slot,
-            ))
-        },
-        AdaptiveThread::into_result,
-    )
-}
-
-/// NativeFast twin of [`launch_fixed`]: the same lane bodies over the same
-/// CSR cell lists and pooled scratch, run to retirement as plain indexed
-/// parallel work — no block placement, no warp lockstep, no op recording.
-/// `results[tid]` matches the traced launch slot-for-slot (the simulated
-/// launch only *appends* `None` padding slots past `cells.len()`), and
-/// `parallel_map_indexed` writes disjoint slots deterministically, so the
-/// output is bit-identical to the traced backend at any pool width. The
-/// returned stats are zero — NativeFast computes answers, not machine
-/// metrics (every [`KernelStats`] derived rate degrades to 0 safely).
-pub(crate) fn native_fixed<'w>(
-    problem: &RpProblem<'_>,
-    cells: &crate::workspace::CellLists,
-    scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
-) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
-    let rp = problem.integrand();
-    let results = problem.pool.parallel_map_indexed(cells.len(), |tid| {
+    drive(kind, problem, threads_per_block, cells.len(), |tid| {
         let (point, lane_cells) = cells.lane(tid)?;
         let (x, y, radius) = point_xyr(point);
-        // SAFETY: `parallel_map_indexed` materialises each `tid` exactly
-        // once and `tid` is a lane of the `cells` the arena was prepared
+        // SAFETY: both drivers materialise each `tid` exactly once per
+        // launch and `tid` is a lane of the `cells` the arena was prepared
         // for, so each region is claimed by exactly one lane.
         let slot = unsafe { scratch.claim_fixed(tid) };
-        let mut thread = FixedCellsThread::new(
+        Some(FixedCellsThread::new(
             &rp,
             problem.layout,
             point,
@@ -618,33 +551,31 @@ pub(crate) fn native_fixed<'w>(
             lane_cells,
             problem.tolerance,
             slot,
-        );
-        thread.run_native();
-        Some(thread.into_result())
-    });
-    LaunchOutput {
-        results,
-        stats: KernelStats::default(),
-    }
+        ))
+    })
 }
 
-/// NativeFast twin of [`launch_adaptive`]; see [`native_fixed`].
+/// Runs the adaptive pass, one thread per task (the paper maps the global
+/// list `L` to threads one-to-one). `scratch` must be prepared for at
+/// least `tasks.len()` lanes.
 #[allow(clippy::mut_from_ref)] // the `&mut` slots come from the arena's claim contract
-pub(crate) fn native_adaptive<'w>(
+pub(crate) fn run_adaptive<'w>(
+    kind: BackendKind,
     problem: &RpProblem<'_>,
+    threads_per_block: usize,
     tasks: &[FallbackTask],
     scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
+    point_xyr: PointXyr<'_>,
     min_depth: u32,
 ) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
     let rp = problem.integrand();
-    let results = problem.pool.parallel_map_indexed(tasks.len(), |tid| {
-        let task = &tasks[tid];
+    drive(kind, problem, threads_per_block, tasks.len(), |tid| {
+        let task = tasks.get(tid)?;
         let (x, y, _) = point_xyr(task.point);
-        // SAFETY: one claim per materialised `tid`; `tid < tasks.len()`
-        // (prepared size).
+        // SAFETY: both drivers materialise each `tid` exactly once per
+        // launch, and `tid < tasks.len()` (the prepared size).
         let slot = unsafe { scratch.claim_adaptive(tid) };
-        let mut thread = AdaptiveThread::new(
+        Some(AdaptiveThread::new(
             &rp,
             problem.layout,
             task.point,
@@ -656,95 +587,6 @@ pub(crate) fn native_adaptive<'w>(
             task.seed,
             min_depth,
             slot,
-        );
-        thread.run_native();
-        Some(thread.into_result())
-    });
-    LaunchOutput {
-        results,
-        stats: KernelStats::default(),
-    }
-}
-
-/// NativeSimd twin of [`native_fixed`]: the same schedulerless lane driver
-/// with a [`SimdSink`], so fresh abscissae take the vectorized stencil
-/// gather and the reuse counters batch per lane. Control flow (Simpson
-/// seeding, accept/fail decisions, fallback breaks, eval/replay counts) is
-/// shared with the other backends by construction; only the *values* of
-/// fresh integrand evaluations differ — by the documented reassociation of
-/// the 27-tap stencil sum (see `GridRp::eval_simd`).
-pub(crate) fn simd_fixed<'w>(
-    problem: &RpProblem<'_>,
-    cells: &crate::workspace::CellLists,
-    scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
-) -> LaunchOutput<ThreadResult<FixedLaneScratch<'w>>> {
-    let rp = problem.integrand();
-    let results = problem.pool.parallel_map_indexed(cells.len(), |tid| {
-        let (point, lane_cells) = cells.lane(tid)?;
-        let (x, y, radius) = point_xyr(point);
-        // SAFETY: `parallel_map_indexed` materialises each `tid` exactly
-        // once and `tid` is a lane of the `cells` the arena was prepared
-        // for, so each region is claimed by exactly one lane.
-        let slot = unsafe { scratch.claim_fixed(tid) };
-        let mut thread = FixedCellsThread::new(
-            &rp,
-            problem.layout,
-            point,
-            x,
-            y,
-            radius,
-            lane_cells,
-            problem.tolerance,
-            slot,
-        );
-        let mut sink = SimdSink::default();
-        thread.run_to_retirement(&mut sink);
-        sink.flush();
-        Some(thread.into_result())
-    });
-    LaunchOutput {
-        results,
-        stats: KernelStats::default(),
-    }
-}
-
-/// NativeSimd twin of [`native_adaptive`]; see [`simd_fixed`].
-#[allow(clippy::mut_from_ref)] // the `&mut` slots come from the arena's claim contract
-pub(crate) fn simd_adaptive<'w>(
-    problem: &RpProblem<'_>,
-    tasks: &[FallbackTask],
-    scratch: &'w LaneScratchArena,
-    point_xyr: &(dyn Fn(u32) -> (f64, f64, f64) + Sync),
-    min_depth: u32,
-) -> LaunchOutput<ThreadResult<&'w mut AdaptiveScratch>> {
-    let rp = problem.integrand();
-    let results = problem.pool.parallel_map_indexed(tasks.len(), |tid| {
-        let task = &tasks[tid];
-        let (x, y, _) = point_xyr(task.point);
-        // SAFETY: one claim per materialised `tid`; `tid < tasks.len()`
-        // (prepared size).
-        let slot = unsafe { scratch.claim_adaptive(tid) };
-        let mut thread = AdaptiveThread::new(
-            &rp,
-            problem.layout,
-            task.point,
-            x,
-            y,
-            task.a,
-            task.b,
-            task.tolerance,
-            task.seed,
-            min_depth,
-            slot,
-        );
-        let mut sink = SimdSink::default();
-        thread.run_to_retirement(&mut sink);
-        sink.flush();
-        Some(thread.into_result())
-    });
-    LaunchOutput {
-        results,
-        stats: KernelStats::default(),
-    }
+        ))
+    })
 }

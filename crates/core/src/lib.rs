@@ -42,7 +42,7 @@ pub mod status;
 pub mod transform;
 pub mod workspace;
 
-pub use backend::{build_backend, BackendKind, ComputeBackend, NativeFast, TracedSimt};
+pub use backend::BackendKind;
 pub use driver::{KernelKind, SimCore, Simulation, SimulationConfig, StepTelemetry};
 pub use health::{AlertRules, CmpOp, HealthConfig, MetricRule, Rule, RuleKind};
 pub use kernels::{ExecutionPlan, PotentialsKernel, PotentialsOutput, RpProblem, StepObservation};

@@ -296,8 +296,8 @@ mod tests {
     fn default_spec_validates_and_builds() {
         let spec = ScenarioSpec::default();
         spec.validate().expect("default spec is valid");
-        let (config, beam) = spec.build(BackendKind::NativeFast);
-        assert_eq!(config.backend, BackendKind::NativeFast);
+        let (config, beam) = spec.build(BackendKind::NativeSimd);
+        assert_eq!(config.backend, BackendKind::NativeSimd);
         assert_eq!(config.geometry.nx, 16);
         assert_eq!(beam.len(), 4_000);
         assert_eq!(config.rp.kappa, 6);
@@ -309,7 +309,7 @@ mod tests {
     fn explicit_backend_wins_over_default() {
         let mut spec = ScenarioSpec::default();
         spec.set_backend("traced").unwrap();
-        let (config, _) = spec.build(BackendKind::NativeFast);
+        let (config, _) = spec.build(BackendKind::NativeSimd);
         assert_eq!(config.backend, BackendKind::TracedSimt);
     }
 

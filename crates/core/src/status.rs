@@ -61,11 +61,10 @@ pub struct RunTotals {
 pub struct StatusSnapshot {
     /// Name of the active kernel (`Predictive-RP`, …).
     pub kernel: String,
-    /// Name of the active compute backend (`traced-simt`, `native-fast`,
-    /// `native-simd`).
+    /// Name of the active compute backend (`traced-simt`, `native-simd`).
     pub backend: String,
-    /// SIMD lane width of the backend's hot loops (1 for the scalar
-    /// backends, 4 for `native-simd`).
+    /// SIMD lane width of the backend's hot loops (1 for `traced-simt`, 4
+    /// for `native-simd`).
     pub simd_lane_width: usize,
     /// Free-form lifecycle state (`starting`, `running`, `done`, …) set by
     /// the driver loop.

@@ -9,7 +9,7 @@
 //! {
 //!   "name": "compress-a",
 //!   "kernel": "predictive",          // two-phase | heuristic | predictive
-//!   "backend": "native",             // traced | native (default: process)
+//!   "backend": "native-simd",        // traced | native-simd, alias native (default: process)
 //!   "lattice": "lcls-bend",
 //!   "grid": {"nx": 16, "ny": 16},    // or "resolution": 16
 //!   "particles": 4000,
@@ -179,7 +179,7 @@ mod tests {
         .expect("full spec");
         assert_eq!(spec.name, "x");
         assert_eq!(spec.kernel, KernelKind::TwoPhase);
-        assert_eq!(spec.backend, Some(BackendKind::NativeFast));
+        assert_eq!(spec.backend, Some(BackendKind::NativeSimd));
         assert_eq!((spec.nx, spec.ny), (12, 8));
         assert_eq!(spec.particles, 500);
         assert_eq!(spec.steps, 3);

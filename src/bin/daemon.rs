@@ -220,7 +220,7 @@ impl Options {
                          --loop              restart the built-in scenario until /quitz\n\
                          --no-scenario       serve sessions only; submit nothing at startup\n\
                          --kernel K          two-phase | heuristic | predictive\n\
-                         --backend B         traced | native | native-simd (default: BEAMDYN_BACKEND or traced)\n\
+                         --backend B         traced | native-simd (alias native) (default: BEAMDYN_BACKEND or traced)\n\
                          --resolution R      grid R x R (default 32)\n\
                          --particles N       macro-particles (default 20000)\n\
                          --threads N         shared compute pool width (default 4)\n\

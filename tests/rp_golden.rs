@@ -198,18 +198,15 @@ fn eval_simd_config_variants_match_recorded_bit_patterns() {
 /// Per-kernel end-to-end golden: the bit pattern of the summed potentials
 /// (and error estimates) after each of three steps. All three kernels agree
 /// on every step — planning differs, but accepted integrals are the same
-/// numbers accumulated in the same order. Both compute backends must hit
-/// the same bits: NativeFast is a pure re-arrangement of the traced
-/// execution (`tests/backend_equivalence.rs` is the differential harness;
-/// this pins both paths to committed constants).
+/// numbers accumulated in the same order. These are the TracedSimt bits;
+/// NativeSimd reassociates the stencil gather and pins its own `*_SIMD`
+/// patterns below (`tests/backend_equivalence.rs` is the differential
+/// harness between the two).
 const KERNEL_GOLDEN: &[(usize, u64, u64)] = &[
     (0, 0x404a71cc403aa0fa, 0x3ee89950b187dddb),
     (1, 0x404a71cc403aa0f9, 0x3ee89950b186e89a),
     (2, 0x405a76ba61fa5f49, 0x3ed9fb2ef3a20574),
 ];
-
-/// Both backends, in golden-corpus runs.
-const BACKENDS: [BackendKind; 2] = [BackendKind::TracedSimt, BackendKind::NativeFast];
 
 /// Runs the golden 12² rigid scenario for three steps and asserts the
 /// per-step summed-potentials/summed-error bit patterns.
@@ -255,21 +252,25 @@ fn assert_kernel_golden(
 
 #[test]
 fn kernel_potentials_sums_match_recorded_bit_patterns() {
-    for backend in BACKENDS {
-        for kernel in [
-            KernelKind::TwoPhase,
-            KernelKind::Heuristic,
-            KernelKind::Predictive,
-        ] {
-            assert_kernel_golden("standard", kernel, backend, KERNEL_GOLDEN, |_| {});
-        }
+    for kernel in [
+        KernelKind::TwoPhase,
+        KernelKind::Heuristic,
+        KernelKind::Predictive,
+    ] {
+        assert_kernel_golden(
+            "standard",
+            kernel,
+            BackendKind::TracedSimt,
+            KERNEL_GOLDEN,
+            |_| {},
+        );
     }
 }
 
 /// A τ three orders tighter than standard drives a fallback-heavy step
 /// (the main pass misses on many cells, so most of the work runs through
 /// the adaptive pass) — the golden corpus's stress case for the
-/// fixed→fallback seed handoff on both backends.
+/// fixed→fallback seed handoff.
 const FALLBACK_HEAVY_GOLDEN: &[(usize, u64, u64)] = &[
     (0, 0x404a71cc418f3c25, 0x3e6f1ece20af436b),
     (1, 0x404a71cc418f3c25, 0x3e6f1ece1fdbfca7),
@@ -296,7 +297,7 @@ type GoldenVariant = (
 );
 
 #[test]
-fn kernel_golden_corpus_variants_match_on_both_backends() {
+fn kernel_golden_corpus_variants_match_on_traced() {
     let variants: [GoldenVariant; 3] = [
         ("fallback-heavy tau=1e-8", FALLBACK_HEAVY_GOLDEN, |c| {
             c.tolerance = 1e-8
@@ -305,14 +306,12 @@ fn kernel_golden_corpus_variants_match_on_both_backends() {
         ("inner_points=5", INNER5_GOLDEN, |c| c.rp.inner_points = 5),
     ];
     for (what, golden, mutate) in variants {
-        for backend in BACKENDS {
-            for kernel in [
-                KernelKind::TwoPhase,
-                KernelKind::Heuristic,
-                KernelKind::Predictive,
-            ] {
-                assert_kernel_golden(what, kernel, backend, golden, mutate);
-            }
+        for kernel in [
+            KernelKind::TwoPhase,
+            KernelKind::Heuristic,
+            KernelKind::Predictive,
+        ] {
+            assert_kernel_golden(what, kernel, BackendKind::TracedSimt, golden, mutate);
         }
     }
 }

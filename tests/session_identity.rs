@@ -84,7 +84,7 @@ fn multiplexed_sessions_are_bit_identical_to_sequential_runs() {
     ]
     .into_iter()
     .flat_map(|kernel| {
-        [BackendKind::TracedSimt, BackendKind::NativeFast]
+        [BackendKind::TracedSimt, BackendKind::NativeSimd]
             .into_iter()
             .map(move |backend| scenario(kernel, backend))
     })

@@ -297,9 +297,10 @@ fn session_service_contract_over_real_http() {
             .and_then(|v| v.as_f64()),
         Some(2.0)
     );
+    // `native` is an alias of the one host lane, NativeSimd.
     assert_eq!(
         session_status.get("backend").and_then(|v| v.as_str()),
-        Some("native-fast")
+        Some("native-simd")
     );
     let (code, text) = http_get(&addr, &format!("/sessions/{id}/metrics")).expect("metrics");
     assert_eq!(code, 200);
@@ -458,7 +459,7 @@ fn streams_end_and_the_server_stops_without_waiting_out_a_timer() {
         threads: 2,
         step_workers: 1,
         slots: 1,
-        default_backend: BackendKind::NativeFast,
+        default_backend: BackendKind::NativeSimd,
         device: DeviceConfig::tesla_k40(),
         ..SessionManagerConfig::default()
     });

@@ -173,7 +173,7 @@ fn timeline_reconstructs_serves_and_gcs_history() {
         KernelKind::Heuristic,
         KernelKind::Predictive,
     ] {
-        for backend in [BackendKind::TracedSimt, BackendKind::NativeFast] {
+        for backend in [BackendKind::TracedSimt, BackendKind::NativeSimd] {
             assert_exact_reconstruction(kernel, backend);
         }
     }

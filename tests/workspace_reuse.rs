@@ -66,7 +66,7 @@ fn steady_state_steps_do_not_grow_the_workspace() {
     // The zero-growth invariant is a property of the workspace discipline,
     // not of the execution strategy: both compute backends run out of the
     // same pooled buffers, so both must hold it.
-    for backend in [BackendKind::TracedSimt, BackendKind::NativeFast] {
+    for backend in [BackendKind::TracedSimt, BackendKind::NativeSimd] {
         for kernel in [
             KernelKind::TwoPhase,
             KernelKind::Heuristic,
